@@ -16,6 +16,9 @@ student".  This bench holds it to both halves:
   denominator understates the true 1M-serial cost and makes the
   speedup claim conservative.  The paper-scale serial rate is also
   recorded for reference.
+* **Digest cost** — the same cohort runs once more with the record
+  digest on, and the bench records both wall times and their ratio
+  (``columnar_digest_s`` / ``columnar_s``): the price of certifying the run.
 
 The measured numbers are written to ``BENCH_columnar.json`` at the repo
 root (full runs only).  ``--quick`` (CI smoke) shrinks the cohort to
@@ -61,25 +64,28 @@ def test_columnar_throughput_vs_serial(benchmark, quick, tmp_path):
     serial_us = 1e6 * serial_s / baseline_course.enrollment
     serial_paper_us = 1e6 * serial_paper_s / COURSE.enrollment
 
-    # -- the columnar run ---------------------------------------------------
+    # -- the columnar run, without and then with the digest ------------------
     scale = 0.5 if quick else FULL_SCALE
     course = scaled_course(scale)
     run = benchmark.pedantic(
         run_columnar,
         args=(course, config),
-        kwargs={"digest": quick, "spill_dir": tmp_path},
+        kwargs={"digest": False, "spill_dir": tmp_path},
         rounds=1,
         iterations=1,
     )
     columnar_s = benchmark.stats.stats.total
     columnar_us = 1e6 * columnar_s / run.students
     speedup = serial_us / columnar_us if columnar_us > 0 else float("inf")
+    digested, columnar_digest_s = _timed(run_columnar, course, config, spill_dir=tmp_path)
+    digest_ratio = columnar_digest_s / columnar_s if columnar_s > 0 else float("inf")
 
     assert run.students == course.enrollment
+    assert digested.records == run.records and digested.unit_hours == run.unit_hours
     if quick:
         # at equal scale the digests must agree outright
         serial_q = CohortSimulation(course, config).run()
-        assert run.digest == records_digest(serial_q)
+        assert digested.digest == records_digest(serial_q)
 
     results = {
         "students": run.students,
@@ -93,6 +99,8 @@ def test_columnar_throughput_vs_serial(benchmark, quick, tmp_path):
         "serial_us_per_student": round(serial_us, 1),
         "serial_paper_us_per_student": round(serial_paper_us, 1),
         "per_student_speedup": round(speedup, 1),
+        "columnar_digest_s": round(columnar_digest_s, 3),
+        "digest_ratio": round(digest_ratio, 3),
         "quota_fast_path": run.sweep_info.get("quota_fast_path"),
         "lease_fast_path": run.sweep_info.get("lease_fast_path"),
         "quick": quick,
@@ -102,7 +110,8 @@ def test_columnar_throughput_vs_serial(benchmark, quick, tmp_path):
     print(
         f"columnar {run.students} students in {columnar_s:.1f}s "
         f"({columnar_us:.1f}us/student) vs serial {serial_us:.0f}us/student "
-        f"at {baseline_course.enrollment} students -> {speedup:.0f}x per student"
+        f"at {baseline_course.enrollment} students -> {speedup:.0f}x per student; "
+        f"with the digest {columnar_digest_s:.1f}s ({digest_ratio:.2f}x)"
     )
 
     if not quick:

@@ -21,10 +21,16 @@ holding all records sorted at once:
 * **Id minting.** (site, kind) determines the id prefix, so per-pair
   counters advance by row order within each bucket and carry across
   buckets — exactly the first-appearance order of the serial
-  canonicalizer.
-* **Digest.** SHA-256 over ``repr(astuple(record))`` per row, streamed
-  bucket by bucket; floats materialize via ``.tolist()`` so their reprs
-  are Python-float reprs, byte-identical to the object path's.
+  canonicalizer.  One vectorized minter turns counters into serials and
+  zero-padded digits (integer arithmetic, widening past 999,999 like
+  ``:06d``) for both the digest and the materialized records.
+* **Digest.** The object path's bytes — ``repr`` of each record's field
+  tuple, concatenated in canonical order — rendered per bucket straight
+  from the columns and hashed with one ``sha.update`` per bucket.
+  Vocabulary pieces (kind, resource type, the constant project, user,
+  lab, site) come from lookup tables built once with ``repr``; floats
+  get Python ``repr`` once per distinct bit pattern, scattered back
+  through ``np.unique``'s inverse.  No per-row Python loop runs.
 * **Totals.** ``quantity * (end - start)`` per row, summed with
   :func:`repro.common.numerics.stable_sum` over the whole multiset —
   exactly equal to ``total_unit_hours`` over the materialized records,
@@ -145,16 +151,16 @@ class CanonicalMerger:
     def finalize(
         self, *, digest: bool = True, collect_records: bool = False
     ) -> MergeResult:
-        """Sort each bucket, mint ids across buckets, stream the digest."""
+        """Sort each bucket, mint ids across buckets, hash each bucket once."""
         self._finalized = True
         schema = self._schema
         sha = hashlib.sha256() if digest else None
-        counters: dict[tuple[int, int], int] = {}  # (site, kind) -> last serial
+        # last serial per (site, kind), flat at site * len(KIND_NAMES) + kind
+        counters = np.zeros(len(SITE_NAMES) * len(KIND_NAMES), dtype=np.int64)
         unit_parts: list[np.ndarray] = []
         records: list[UsageRecord] | None = [] if collect_records else None
-        user_strings = (
-            _user_string_table(schema) if (digest or collect_records) else None
-        )
+        users = _user_string_table(schema) if (digest or collect_records) else None
+        render = _BucketRenderer(schema, users) if digest else None
         count = 0
         for b in range(self._n_buckets):
             cols = self._load_bucket(b)
@@ -177,33 +183,13 @@ class CanonicalMerger:
             cols = cols.take(order)
             unit_parts.append(cols.quantity * (cols.end - cols.start))
             if sha is None and records is None:
-                # counters still advance so later buckets stay aligned
-                for s, k, m in _site_kind_runs(cols):
-                    counters[(s, k)] = counters.get((s, k), 0) + m
+                # nothing reads the serials: no ids to mint
                 continue
-            ids = _mint_ids(cols, counters)
-            kind_names = np.take(np.array(KIND_NAMES, dtype=object), cols.kind)
-            rtype_names = np.take(np.array(schema.rtype_names, dtype=object), cols.rtype)
-            site_names = np.take(np.array(SITE_NAMES, dtype=object), cols.site)
-            lab_names = np.take(np.array(schema.lab_names, dtype=object), cols.lab)
-            users = np.take(user_strings, cols.user)
-            rows = zip(
-                ids, kind_names, rtype_names,
-                cols.start.tolist(), cols.end.tolist(), cols.quantity.tolist(),
-                users, lab_names, site_names,
-            )
-            for rid, kind, rtype, start, end, qty, user, lab, site in rows:
-                tup = (rid, kind, rtype, "course", start, end, qty, user, lab, site)
-                if sha is not None:
-                    sha.update(repr(tup).encode())
-                if records is not None:
-                    records.append(
-                        UsageRecord(
-                            resource_id=rid, kind=kind, resource_type=rtype,
-                            project="course", start=start, end=end,
-                            quantity=qty, user=user, lab=lab, site=site,
-                        )
-                    )
+            digits = _serial_digits(_mint_serials(cols, counters))
+            if sha is not None:
+                sha.update(render(cols, digits))
+            if records is not None:
+                records.extend(_bucket_records(cols, digits, schema, users))
         unit_hours = stable_sum(chain.from_iterable(part.tolist() for part in unit_parts))
         return MergeResult(
             count=count,
@@ -213,42 +199,129 @@ class CanonicalMerger:
         )
 
 
+def _strings(items) -> np.ndarray:
+    """A 1-D object array of str, for fancy-index lookups by code."""
+    return np.array(list(items), dtype=object)
+
+
 def _user_string_table(schema: ColumnSchema) -> np.ndarray:
     from repro.columnar.schema import group_user, student_user
 
-    return np.array(
+    return _strings(
         [student_user(i) for i in range(schema.n_students)]
-        + [group_user(j) for j in range(schema.n_groups)],
-        dtype=object,
+        + [group_user(j) for j in range(schema.n_groups)]
     )
 
 
-def _site_kind_runs(cols: RecordColumns):
-    """Yield (site, kind, row_count) for every pair present in the batch."""
-    pair = cols.site.astype(np.int64) * len(KIND_NAMES) + cols.kind
-    for p in np.unique(pair):
-        yield int(p) // len(KIND_NAMES), int(p) % len(KIND_NAMES), int((pair == p).sum())
-
-
-def _mint_ids(cols: RecordColumns, counters: dict[tuple[int, int], int]) -> np.ndarray:
-    """Fresh ids per (site, prefix) in canonical row order, counters carried.
+def _mint_serials(cols: RecordColumns, counters: np.ndarray) -> np.ndarray:
+    """Id serials per row in canonical row order; advances ``counters``.
 
     Matches ``canonicalize_records``: within the sorted bucket, rows of a
-    (site, kind) pair take consecutive serials in row order; ids are
-    ``{prefix}-{serial:06d}``.  Cohort records never share a resource id
-    across spans (each span minted its own id), so first-appearance order
-    degenerates to row order.
+    (site, kind) pair take consecutive serials in row order, carried on
+    from the pair's last serial in ``counters``.  Cohort records never
+    share a resource id across spans (each span minted its own id), so
+    first-appearance order degenerates to row order.
     """
-    pair = cols.site.astype(np.int64) * len(KIND_NAMES) + cols.kind
-    ids = np.empty(len(cols), dtype=object)
-    for p in np.unique(pair):
-        site_code, kind_code = int(p) // len(KIND_NAMES), int(p) % len(KIND_NAMES)
-        idx = np.flatnonzero(pair == p)
-        base = counters.get((site_code, kind_code), 0)
-        counters[(site_code, kind_code)] = base + len(idx)
-        prefix = KIND_PREFIXES[kind_code]
-        serials = np.char.zfill(
-            (base + 1 + np.arange(len(idx), dtype=np.int64)).astype("U12"), 6
+    pair = cols.site.astype(np.intp) * len(KIND_NAMES) + cols.kind
+    counts = np.bincount(pair, minlength=len(counters))
+    by_pair = np.argsort(pair, kind="stable")
+    run_start = np.cumsum(counts) - counts  # each pair's first slot in by_pair
+    sorted_pair = pair[by_pair]
+    serials = np.empty(len(pair), dtype=np.int64)
+    serials[by_pair] = (
+        np.arange(1, len(pair) + 1) - run_start[sorted_pair] + counters[sorted_pair]
+    )
+    counters += counts
+    return serials
+
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _serial_digits(serials: np.ndarray) -> np.ndarray:
+    """``f"{serial:06d}"`` per row, as an object array of str.
+
+    Digits come from integer arithmetic, one digit-count class at a time:
+    serials past 999,999 widen to 7+ digits exactly as ``:06d`` does.
+    """
+    width = np.maximum(6, np.searchsorted(_POW10, serials, side="right"))
+    out = np.empty(len(serials), dtype=object)
+    for w in np.unique(width).tolist():
+        sel = width == w
+        codes = serials[sel, None] // _POW10[w - 1 :: -1] % 10 + ord("0")
+        out[sel] = codes.astype(np.uint32).view(f"U{w}").ravel()
+    return out
+
+
+def _float_pieces(values: np.ndarray) -> np.ndarray:
+    """``repr(v) + ", "`` per value of a 1-D array, as an object array.
+
+    ``repr`` runs once per distinct value.  Values are told apart by bit
+    pattern, so ``-0.0`` keeps its own repr rather than ``0.0``'s.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return _strings(f"{v!r}, " for v in bits.view(np.float64).tolist())[inverse]
+
+
+class _BucketRenderer:
+    """Render a sorted bucket's digest bytes straight from its columns.
+
+    The bytes are ``repr(row)`` for each row's record tuple
+    ``(rid, kind, rtype, "course", start, end, quantity, user, lab, site)``,
+    concatenated in row order — the object path's stream.  Each row is
+    assembled from eight str pieces, every piece carrying its own
+    ``", "`` or ``")"`` separator:
+
+    ``('vm-`` | ``000042`` | ``', 'server', 'm1.medium', 'course', `` |
+    start | end | quantity | ``'student007', `` | ``'lab2', 'kvm@tacc')``
+
+    Vocabulary pieces are looked up from tables built here, once, with
+    Python ``repr``; floats go through :func:`_float_pieces`.
+    """
+
+    def __init__(self, schema: ColumnSchema, users: np.ndarray) -> None:
+        self._id_head = _strings(f"('{prefix}-" for prefix in KIND_PREFIXES)
+        self._kind_rtype = _strings(
+            f"', {k!r}, {r!r}, 'course', " for k in KIND_NAMES for r in schema.rtype_names
         )
-        ids[idx] = np.char.add(f"{prefix}-", serials).astype(object)
-    return ids
+        self._n_rtypes = len(schema.rtype_names)
+        self._user = _strings(f"{u!r}, " for u in users.tolist())
+        self._lab_site = _strings(
+            f"{lab!r}, {site!r})" for lab in schema.lab_names for site in SITE_NAMES
+        )
+
+    def __call__(self, cols: RecordColumns, digits: np.ndarray) -> bytes:
+        n = len(cols)
+        pieces = np.empty((n, 8), dtype=object)
+        pieces[:, 0] = self._id_head[cols.kind]
+        pieces[:, 1] = digits
+        pieces[:, 2] = self._kind_rtype[cols.kind.astype(np.intp) * self._n_rtypes + cols.rtype]
+        pieces[:, 3:6] = _float_pieces(
+            np.concatenate([cols.start, cols.end, cols.quantity])
+        ).reshape(3, n).T
+        pieces[:, 6] = self._user[cols.user]
+        pieces[:, 7] = self._lab_site[cols.lab.astype(np.intp) * len(SITE_NAMES) + cols.site]
+        return "".join(pieces.ravel().tolist()).encode()
+
+
+def _bucket_records(
+    cols: RecordColumns, digits: np.ndarray, schema: ColumnSchema, users: np.ndarray
+) -> list[UsageRecord]:
+    """Materialize a sorted bucket as ``UsageRecord`` objects."""
+    ids = _strings(f"{p}-" for p in KIND_PREFIXES)[cols.kind] + digits
+    rows = zip(
+        ids.tolist(),
+        _strings(KIND_NAMES)[cols.kind].tolist(),
+        _strings(schema.rtype_names)[cols.rtype].tolist(),
+        cols.start.tolist(), cols.end.tolist(), cols.quantity.tolist(),
+        users[cols.user].tolist(),
+        _strings(schema.lab_names)[cols.lab].tolist(),
+        _strings(SITE_NAMES)[cols.site].tolist(),
+    )
+    return [
+        UsageRecord(
+            resource_id=rid, kind=kind, resource_type=rtype, project="course",
+            start=start, end=end, quantity=qty, user=user, lab=lab, site=site,
+        )
+        for rid, kind, rtype, start, end, qty, user, lab, site in rows
+    ]

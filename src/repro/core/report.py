@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from itertools import islice
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -33,16 +35,27 @@ if TYPE_CHECKING:  # imported lazily: repro.faults imports repro.core
     from repro.faults.plan import FaultLedger
 
 
+#: A record's field values, as a tuple in ``UsageRecord`` field order.
+_record_fields = attrgetter(*(f.name for f in fields(UsageRecord)))
+#: Records rendered per ``sha.update`` call in :func:`records_digest`.
+_DIGEST_CHUNK = 65_536
+
+
 def records_digest(records: Iterable[UsageRecord]) -> str:
     """SHA-256 over the exact field tuples of a record stream.
 
     The equivalence contract of `repro.parallel`: serial and parallel
     executions of the same plan must agree on this digest (records are
     compared *in order*, so canonicalization is part of the contract).
+    Each record contributes ``repr`` of its field tuple in declaration
+    order (what ``dataclasses.astuple`` gives, without its deep copy);
+    the reprs are joined and hashed in bounded chunks, so memory stays
+    flat on long streams.
     """
     h = hashlib.sha256()
-    for rec in records:
-        h.update(repr(astuple(rec)).encode())
+    it = iter(records)
+    while chunk := list(islice(it, _DIGEST_CHUNK)):
+        h.update("".join(map(repr, map(_record_fields, chunk))).encode())
     return h.hexdigest()
 
 
