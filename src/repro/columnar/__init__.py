@@ -12,10 +12,11 @@ cohort sizes × workers), which is what licenses running it at the
 10⁵–10⁶-student scales the object path cannot reach.
 
 Layering (DESIGN §11): ``planner`` replays the plan-time RNG contract
-into activity tables, ``admission`` fixes quota/lease outcomes with a
-vectorized fast path over an exact replay, ``kernels`` emits record
-columns from closed forms, ``merge`` streams shards through a bucketed
-canonical merge, and ``engine``/``__main__`` are the front ends.
+into activity tables (and runs a fault plan's sweep over them),
+``admission`` fixes quota/lease outcomes with a vectorized fast path
+over an exact replay, ``kernels`` emits record columns from closed
+forms, ``merge`` streams shards through a bucketed canonical merge, and
+``engine``/``__main__`` are the front ends.
 """
 
 from repro.columnar.engine import ColumnarRun, run_columnar

@@ -144,15 +144,19 @@ def sweep_kvm_quota(
     ps_hold_end = np.maximum(ps_end, tables.ps_start)
 
     # sweep ranks (serial event-scheduling order): student shards carry
-    # only vm_labs, group shards carry n_flavors VMs then one storage row
+    # only vm_labs, group shards carry their service VMs then one storage
+    # row.  Per-group VM counts vary once a fault sweep has split or
+    # dropped rows, so each group's base rank comes from the real counts.
     V = len(tables.vm_start)
     P, G = len(tables.pvm_start), len(tables.ps_start)
-    per_group = (P // G + 1) if G else 0
     vm_rank = np.arange(V, dtype=np.int64)
-    pvm_rank = V + tables.pvm_group.astype(np.int64) * per_group + (
-        np.arange(P, dtype=np.int64) % max(P // G, 1) if G else np.arange(P, dtype=np.int64)
-    )
-    ps_rank = V + tables.ps_group.astype(np.int64) * per_group + (per_group - 1)
+    pvm_per_group = np.bincount(tables.pvm_group, minlength=G).astype(np.int64)
+    group_base = V + np.cumsum(pvm_per_group + 1) - (pvm_per_group + 1)
+    pvm_offset = np.cumsum(pvm_per_group) - pvm_per_group  # first pvm row per group
+    pvm_group = tables.pvm_group.astype(np.int64)
+    pvm_rank = group_base[pvm_group] + np.arange(P, dtype=np.int64) - pvm_offset[pvm_group]
+    ps_group = tables.ps_group.astype(np.int64)
+    ps_rank = group_base[ps_group] + pvm_per_group[ps_group]
 
     vm_live = ~vm_drop
     pvm_live = ~pvm_drop

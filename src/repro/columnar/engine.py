@@ -3,9 +3,10 @@
 ``run_columnar`` is the array-path counterpart of
 :meth:`repro.core.cohort.CohortSimulation.run` — same inputs, same
 canonical record stream (by digest), a few hundred times less work per
-student.  Fault-model runs route planning through the object planner
-(the fault sweep rewrites object shards) and convert; everything
-downstream is identical.
+student.  Fault-model runs plan natively too: the fault sweep rewrites
+the raw activity tables before admission (see
+:func:`repro.columnar.planner.plan_columns`), so no object plan is ever
+built and everything downstream is identical.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from typing import TYPE_CHECKING
 from repro.cloud.metering import UsageRecord
 from repro.columnar.kernels import iter_record_batches
 from repro.columnar.merge import CanonicalMerger
-from repro.columnar.planner import ColumnarPlan, columns_from_plan, plan_columns
-from repro.core.cohort import CohortConfig, plan_cohort
+# columns_from_plan and plan_cohort are unused here, but perfbench's tracer
+# wraps both at this module (workloads.TRACE_TARGETS), so they stay importable
+from repro.columnar.planner import columns_from_plan, plan_columns  # noqa: F401
+from repro.core.cohort import CohortConfig, plan_cohort  # noqa: F401
 from repro.core.course import COURSE, CourseDefinition
 
 if TYPE_CHECKING:
-    from repro.faults.plan import FaultModel
+    from repro.columnar.planner import TableFaultModel
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ def run_columnar(
     config: CohortConfig | None = None,
     *,
     workers: int = 1,
-    faults: "FaultModel | None" = None,
+    faults: "TableFaultModel | None" = None,
     include_project: bool = True,
     digest: bool = True,
     collect_records: bool = False,
@@ -59,10 +62,11 @@ def run_columnar(
     (the merge still sorts, counts and totals), which measures the engine
     without the digest; the digest is about a third of a digested run at
     10⁶ students.  ``spill_dir`` bounds peak memory by spilling merge
-    buckets to scratch files.
+    buckets to scratch files.  ``faults`` (a
+    :class:`~repro.faults.plan.FaultSweep`) is swept into the plan.
     """
     config = config if config is not None else CohortConfig()
-    plan = _resolve_plan(course, config, workers=workers, faults=faults)
+    plan = plan_columns(course, config, workers=workers, faults=faults)
     tables = plan.tables
     if not include_project:
         tables = _labs_only(tables)
@@ -85,19 +89,6 @@ def run_columnar(
         record_list=result.records,
         sweep_info=dict(plan.sweep_info),
     )
-
-
-def _resolve_plan(
-    course: CourseDefinition,
-    config: CohortConfig,
-    *,
-    workers: int,
-    faults: "FaultModel | None",
-) -> ColumnarPlan:
-    if faults is None:
-        return plan_columns(course, config, workers=workers)
-    # fault sweeps rewrite object shards pre-admission; plan there, convert
-    return columns_from_plan(plan_cohort(course, config, faults=faults), course)
 
 
 def _labs_only(tables):

@@ -3,21 +3,18 @@
 Replays the object planner's RNG contract *draw for draw* — same
 SeedSequence tree, same per-stream call order, same float ops — but
 lands the results in flat activity tables instead of per-shard activity
-objects.  Two paths produce the same tables:
+objects.  :func:`plan_columns` is the one planning path, faulted or not:
+whole-cohort draws (fanned out over worker processes by contiguous
+student range, each worker rebuilding its streams via
+:func:`repro.core.cohort.student_seed_sequence`), vectorized slot
+calendar walk, the fault sweep over the raw tables when a fault model is
+given (:meth:`repro.faults.plan.FaultSweep.apply_tables`), then the
+columnar admission sweeps (:mod:`repro.columnar.admission`).
 
-* :func:`plan_columns` — the native path: whole-cohort draws (fanned out
-  over worker processes by contiguous student range, each worker
-  rebuilding its streams via
-  :func:`repro.core.cohort.student_seed_sequence`), vectorized slot
-  calendar walk, then the columnar admission sweeps
-  (:mod:`repro.columnar.admission`).
-* :func:`columns_from_plan` — the converter: flattens an already-swept
-  object :class:`~repro.core.cohort.CohortPlan` into the same tables.
-  This is how fault plans enter the columnar engine (the fault sweep
-  rewrites object shards, so faulted runs plan through
-  :func:`repro.core.cohort.plan_cohort` first), and it is the
-  differential harness's reference: native tables must equal converted
-  tables array-for-array.
+:func:`columns_from_plan` flattens an already-swept object
+:class:`~repro.core.cohort.CohortPlan` into the same tables.  No run
+path uses it: it is the differential reference that ``tests/columnar``
+holds the native tables to, array for array, with and without faults.
 
 The one RNG call replayed manually is ``rng.choice(names, p=weights)``:
 numpy's Generator implementation draws exactly one ``rng.random()`` and
@@ -35,7 +32,7 @@ shard kernel runs, and the kernels themselves stay RNG-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -116,6 +113,18 @@ class ActivityTables:
     @property
     def activity_count(self) -> int:
         return sum(self.family_counts().values())
+
+
+class TableFaultModel(Protocol):
+    """Anything that may rewrite *raw* activity tables before admission.
+
+    The column counterpart of :class:`repro.core.cohort.FaultModel`;
+    :class:`repro.faults.plan.FaultSweep` implements both.
+    """
+
+    def apply_tables(
+        self, tables: ActivityTables, *, schema: ColumnSchema, semester_hours: float
+    ) -> ActivityTables: ...
 
 
 @dataclass(frozen=True)
@@ -304,15 +313,18 @@ def plan_columns(
     config: CohortConfig | None = None,
     *,
     workers: int = 1,
+    faults: TableFaultModel | None = None,
 ) -> ColumnarPlan:
     """Resolve one semester natively into admitted activity tables.
 
-    Digest-contract twin of :func:`repro.core.cohort.plan_cohort` with
-    ``faults=None``: same seed tree, same draws, same slot calendar walk,
+    Digest-contract twin of :func:`repro.core.cohort.plan_cohort`: same
+    seed tree, same draws, same slot calendar walk, same fault sweep,
     same admission outcomes — ``tests/columnar`` holds the two equal
-    array-for-array and digest-for-digest.  ``workers`` parallelizes only
-    the per-student/per-group draw loops; the output is identical for
-    every worker count.
+    array-for-array and digest-for-digest.  ``faults`` rewrites the raw
+    tables before admission, as the object planner's fault model
+    rewrites raw shards.  ``workers`` parallelizes only the
+    per-student/per-group draw loops; the output is identical for every
+    worker count.
     """
     from repro.columnar.admission import sweep_lease_calendar, sweep_kvm_quota
 
@@ -320,6 +332,8 @@ def plan_columns(
     if workers < 1:
         raise ValidationError(f"workers must be positive: {workers!r}")
     raw, schema = _raw_tables(course, config, workers=workers)
+    if faults is not None:
+        raw = faults.apply_tables(raw, schema=schema, semester_hours=course.semester_hours)
     info: dict[str, bool] = {}
     raw = sweep_kvm_quota(raw, course=course, config=config, info=info, schema=schema)
     raw = sweep_lease_calendar(raw, course=course, info=info, schema=schema)
@@ -556,7 +570,7 @@ def _plan_groups_columnar(
     if len({t for t, _, _, _ in lease_specs}) != len(lease_specs):
         # the closed-form cursor walk below assumes each node type shows
         # up once per group; a course violating that must use the object
-        # planner (plan_cohort + columns_from_plan)
+        # planner (plan_cohort)
         raise ValidationError(
             "columnar group planning requires distinct project lease node types"
         )
@@ -609,16 +623,16 @@ def _plan_groups_columnar(
     }
 
 
-# -- the object-plan converter -----------------------------------------------------
+# -- the object-plan converter (differential reference) ----------------------------
 
 
 def columns_from_plan(plan: CohortPlan, course: CourseDefinition = COURSE) -> ColumnarPlan:
     """Flatten an already-swept object plan into activity tables.
 
-    The entry path for faulted runs (the fault sweep operates on object
-    shards) and the differential reference for the native planner: both
-    must yield identical tables.  Shard tuples are already in rank order
-    per family, so a straight append preserves it.
+    The differential reference for the native planner: for the same
+    course, config and fault plan, both must yield identical tables.
+    Shard tuples are already in rank order per family, so a straight
+    append preserves it.
     """
     schema = ColumnSchema.for_course(course)
     vm_rows: list[tuple] = []

@@ -6,7 +6,8 @@ A semester with weekly-ish outages and real hardware attrition::
 
     python -m repro.faults --outage-rate 0.3 --hazard-rate 2.0 --burst-rate 1.0
 
-Prove the determinism contract (serial vs 4 workers under the plan)::
+Prove the determinism contract (serial vs 4 workers vs the columnar
+engine under the plan)::
 
     python -m repro.faults --outage-rate 0.3 --hazard-rate 2.0 --workers 4 --verify
 
@@ -21,11 +22,17 @@ import argparse
 import json
 import sys
 
+from repro.columnar.engine import run_columnar
 from repro.core.cohort import CohortConfig, CohortSimulation
 from repro.core.costmodel import OutageScenario
 from repro.core.course import COURSE, scaled_course
 from repro.core.report import fault_accounting, outage_whatif, records_digest
-from repro.faults.plan import FaultPlanConfig, plan_faulted_cohort
+from repro.faults.plan import (
+    FaultPlanConfig,
+    FaultSweep,
+    build_fault_calendar,
+    plan_faulted_cohort,
+)
 from repro.parallel.engine import execute_plan
 from repro.parallel.merge import merge_shard_records, total_unit_hours
 
@@ -61,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--verify", action="store_true",
-        help="also run the plan serially and require digest equality (exit 1 on mismatch)",
+        help="also run the plan serially and through the columnar engine; require "
+        "digest equality (exit 1 on mismatch)",
     )
     parser.add_argument(
         "--whatif", action="store_true",
@@ -114,9 +122,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.verify:
         serial = CohortSimulation(course, config, plan=plan).run()
         serial_digest = records_digest(serial)
-        ok = serial_digest == digest
+        # the columnar engine re-sweeps the same calendar natively in columns
+        calendar = build_fault_calendar(fault_config, horizon_hours=course.semester_hours)
+        columnar = run_columnar(course, config, faults=FaultSweep(calendar))
+        serial_ok = serial_digest == digest
+        columnar_ok = columnar.digest == digest
+        ok = serial_ok and columnar_ok
         summary["serial_digest"] = serial_digest
-        summary["digest_match"] = ok
+        summary["digest_match"] = serial_ok
+        summary["columnar_digest"] = columnar.digest
+        summary["columnar_match"] = columnar_ok
 
     if args.json == "-":
         json.dump(summary, sys.stdout, indent=2)
@@ -140,7 +155,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{'json':>20}: {args.json}")
 
     if not ok:
-        print("DIGEST MISMATCH: parallel output differs from serial", file=sys.stderr)
+        print(
+            "DIGEST MISMATCH: parallel, serial and columnar outputs differ", file=sys.stderr
+        )
         return 1
     return 0
 

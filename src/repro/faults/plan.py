@@ -3,11 +3,13 @@
 Mirrors the cohort's plan → execute → merge architecture (PR 3's
 admission sweeps): all fault randomness is drawn serially at plan time
 from one ``SeedSequence(fault_seed).spawn(3)`` tree — (outage stream,
-burst stream, hazard stream) — and resolved into rewritten shard
-activities with fully absolute times.  Execution stays RNG-free, so the
-parallel engine's digest contract survives any fault plan, and the
-*empty* calendar leaves every shard byte-identical to the fault-free
-planner (the null plan is a strict no-op).
+burst stream, hazard stream) — and resolved into rewritten activities
+with fully absolute times: object shards for the object planner, activity
+tables for the columnar one, through the same walks.  Execution stays
+RNG-free, so the parallel engine's digest contract survives any fault
+plan, and the *empty* calendar leaves every shard and table
+byte-identical to the fault-free planner (the null plan is a strict
+no-op).
 
 Three fault classes, matching what real testbeds throw at a course:
 
@@ -30,7 +32,12 @@ cost (lost instance-hours, redo hours, per-student deltas).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from itertools import accumulate, starmap
 
 import numpy as np
 
@@ -205,28 +212,34 @@ class FaultCalendar:
         """The hazard stream (third spawn of the fault seed tree)."""
         return np.random.default_rng(np.random.SeedSequence(self.config.seed).spawn(3)[2])
 
-    # -- lookups (linear scans; calendars hold dozens of windows, not thousands)
+    # -- lookups ------------------------------------------------------------
+    #
+    # A sweep asks these once or more per activity, ~10^5 times at 50x the
+    # paper cohort, so each site's windows are indexed once (see
+    # _SiteWindows) instead of scanning the whole calendar per query.
+
+    @cached_property
+    def _outage_index(self) -> dict[str, "_SiteWindows"]:
+        return _SiteWindows.by_site(self.outages)
+
+    @cached_property
+    def _burst_index(self) -> dict[str, "_SiteWindows"]:
+        return _SiteWindows.by_site(self.bursts)
 
     def outage_at(self, site: str, t: float) -> OutageWindow | None:
-        for w in self.outages:
-            if w.site == site and w.start <= t < w.end:
-                return w
-        return None
+        """First outage on ``site`` (calendar order) with start <= t < end."""
+        index = self._outage_index.get(site)
+        return index.at(t) if index is not None else None
 
     def burst_at(self, site: str, t: float) -> ApiErrorBurst | None:
-        for w in self.bursts:
-            if w.site == site and w.start <= t < w.end:
-                return w
-        return None
+        """First burst on ``site`` (calendar order) with start <= t < end."""
+        index = self._burst_index.get(site)
+        return index.at(t) if index is not None else None
 
     def outage_over(self, site: str, start: float, end: float) -> OutageWindow | None:
         """Earliest outage overlapping [start, end), if any."""
-        best: OutageWindow | None = None
-        for w in self.outages:
-            if w.site == site and w.end > start and w.start < end:
-                if best is None or w.start < best.start:
-                    best = w
-        return best
+        index = self._outage_index.get(site)
+        return index.over(start, end) if index is not None else None
 
     def next_clear(self, site: str, t: float) -> float:
         """First instant >= ``t`` outside every outage window on ``site``."""
@@ -238,6 +251,50 @@ class FaultCalendar:
                 t = w.end
                 moved = True
         return t
+
+
+class _SiteWindows:
+    """One site's windows, sorted by start, for point and interval queries.
+
+    ``reach[k]`` is the latest end among the first ``k + 1`` windows, so
+    ``bisect_right(reach, t)`` skips every window that ends by ``t``
+    without arithmetic, and ``bisect`` on the starts drops every window
+    that starts too late.  The sort is stable and each entry keeps its
+    calendar position, so ties resolve exactly as a scan of the whole
+    calendar would.
+    """
+
+    __slots__ = ("entries", "starts", "reach")
+
+    def __init__(self, entries: list[tuple[int, OutageWindow | ApiErrorBurst]]) -> None:
+        self.entries = sorted(entries, key=lambda entry: entry[1].start)
+        self.starts = [w.start for _, w in self.entries]
+        self.reach = list(accumulate((w.end for _, w in self.entries), max))
+
+    @classmethod
+    def by_site(cls, windows) -> dict[str, "_SiteWindows"]:
+        grouped: dict[str, list] = {}
+        for pos, w in enumerate(windows):
+            grouped.setdefault(w.site, []).append((pos, w))
+        return {site: cls(entries) for site, entries in grouped.items()}
+
+    def at(self, t: float):
+        """The window earliest in calendar order with start <= t < end."""
+        best = None
+        for k in range(bisect_right(self.reach, t), bisect_right(self.starts, t)):
+            pos, w = self.entries[k]
+            if w.end > t and (best is None or pos < best[0]):
+                best = (pos, w)
+        return best[1] if best is not None else None
+
+    def over(self, start: float, end: float):
+        """The earliest-starting window overlapping [start, end); among
+        equal starts, the one earliest in calendar order."""
+        for k in range(bisect_right(self.reach, start), bisect_left(self.starts, end)):
+            w = self.entries[k][1]
+            if w.end > start:
+                return w
+        return None
 
 
 def _lognormal_hours(rng: np.random.Generator, mean: float, sigma: float) -> float:
@@ -321,17 +378,77 @@ class HardwareFailure:
     at: float
 
 
+#: One ledger row: a :class:`FaultEvent`'s fields in declaration order.
+LedgerRow = tuple[str, str, str, str, str, float, float, float, float]
+#: What a walk logs, before the activity's identity is attached:
+#: ``(kind, at, lost_hours, redo_hours, delay_hours)``.
+WalkEntry = tuple[str, float, float, float, float]
+
+_KIND, _SITE, _USER, _LAB, _AT, _LOST, _REDO, _DELAY = 0, 1, 2, 3, 5, 6, 7, 8
+
+
+class LedgerEvents(Sequence):
+    """The ledger's rows as :class:`FaultEvent` objects, built on access.
+
+    A chaos semester at 50x the paper cohort logs ~150k events; building
+    them all as frozen dataclasses would cost more than the sweep that
+    found them, and most consumers only count or sum.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list[LedgerRow]) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [FaultEvent(*row) for row in self._rows[index]]
+        return FaultEvent(*self._rows[index])
+
+    def __iter__(self) -> Iterator[FaultEvent]:
+        return starmap(FaultEvent, self._rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LedgerEvents):
+            return self._rows == other._rows
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"LedgerEvents({len(self._rows)} events)"
+
+
 @dataclass
 class FaultLedger:
-    """Accumulated fault accounting for one plan sweep."""
+    """Accumulated fault accounting for one plan sweep.
 
-    events: list[FaultEvent] = field(default_factory=list)
+    Rows are plain tuples in sweep order; :attr:`events` is the
+    :class:`FaultEvent` view of them.  Every aggregate reads the rows
+    left to right, so each total is the in-order sum over the events.
+    """
 
-    def add(self, event: FaultEvent) -> None:
-        self.events.append(event)
+    rows: list[LedgerRow] = field(default_factory=list)
+
+    @property
+    def events(self) -> LedgerEvents:
+        return LedgerEvents(self.rows)
+
+    def record(
+        self, walked: Sequence[WalkEntry], site: str, user: str, lab: str, resource: str
+    ) -> None:
+        """Log one activity's walk entries under its identity."""
+        append = self.rows.append
+        for kind, at, lost, redo, delay in walked:
+            append((kind, site, user, lab, resource, at, lost, redo, delay))
 
     def count(self, kind: str) -> int:
-        return sum(1 for e in self.events if e.kind == kind)
+        return sum(1 for row in self.rows if row[_KIND] == kind)
 
     @property
     def hardware_kills(self) -> int:
@@ -351,29 +468,29 @@ class FaultLedger:
 
     @property
     def lost_instance_hours(self) -> float:
-        return sum(e.lost_hours for e in self.events)
+        return sum(row[_LOST] for row in self.rows)
 
     @property
     def redo_instance_hours(self) -> float:
-        return sum(e.redo_hours for e in self.events)
+        return sum(row[_REDO] for row in self.rows)
 
     @property
     def delay_hours(self) -> float:
-        return sum(e.delay_hours for e in self.events)
+        return sum(row[_DELAY] for row in self.rows)
 
     def hardware_failures(self) -> tuple[HardwareFailure, ...]:
         """The resolved MTBF failures, as standalone records."""
         return tuple(
-            HardwareFailure(site=e.site, user=e.user, lab=e.lab, at=e.at)
-            for e in self.events
-            if e.kind == "hw_kill"
+            HardwareFailure(site=row[_SITE], user=row[_USER], lab=row[_LAB], at=row[_AT])
+            for row in self.rows
+            if row[_KIND] == "hw_kill"
         )
 
     def per_user_redo_hours(self) -> dict[str, float]:
         out: dict[str, float] = {}
-        for e in self.events:
-            if e.redo_hours:
-                out[e.user] = out.get(e.user, 0.0) + e.redo_hours
+        for row in self.rows:
+            if row[_REDO]:
+                out[row[_USER]] = out.get(row[_USER], 0.0) + row[_REDO]
         return out
 
 
@@ -381,12 +498,20 @@ class FaultLedger:
 
 
 class FaultSweep:
-    """Applies a :class:`FaultCalendar` to raw shard plans (pre-admission).
+    """Applies a :class:`FaultCalendar` to a raw plan (pre-admission).
 
-    Implements the planner's :class:`~repro.core.cohort.FaultModel`
-    protocol.  One sweep = one ledger: applying the same sweep twice
-    would double-count accounting, so a second ``apply`` raises — plan
-    once, then hand the *plan* to both serial and parallel executors.
+    Two adapters share one set of value-level walks (:meth:`_walk_run`,
+    :meth:`_walk_booking`, :meth:`_clear_interval`): :meth:`apply`
+    rewrites object shards (the planner's
+    :class:`~repro.core.cohort.FaultModel` protocol) and
+    :meth:`apply_tables` rewrites columnar activity tables.  Both visit
+    activities in the same order — each student's VM labs then its
+    slots, then each group's service VMs then its leases — so they draw
+    the one hazard stream identically and log identical ledgers.
+
+    One sweep = one ledger: applying the same sweep twice would
+    double-count accounting, so a second apply raises — plan once, then
+    hand the *plan* to every executor.
     """
 
     def __init__(
@@ -402,7 +527,17 @@ class FaultSweep:
         self.ledger = FaultLedger()
         self._applied = False
 
-    # -- FaultModel ---------------------------------------------------------
+    def _begin(self) -> np.random.Generator | None:
+        """Claim the sweep's one run: the hazard stream, or None when the
+        calendar is empty (the strict no-op)."""
+        if self._applied:
+            raise InvalidStateError(
+                "FaultSweep already applied; build a fresh sweep (or reuse the plan)"
+            )
+        self._applied = True
+        return None if self.calendar.empty else self.calendar.hazard_rng()
+
+    # -- object adapter (FaultModel) ----------------------------------------
 
     def apply(
         self,
@@ -411,14 +546,9 @@ class FaultSweep:
         *,
         semester_hours: float,
     ) -> tuple[tuple[ShardPlan, ...], tuple[ShardPlan, ...]]:
-        if self._applied:
-            raise InvalidStateError(
-                "FaultSweep already applied; build a fresh sweep (or reuse the plan)"
-            )
-        self._applied = True
-        if self.calendar.empty:
+        rng = self._begin()
+        if rng is None:
             return student_shards, group_shards  # strict no-op: same objects
-        rng = self.calendar.hazard_rng()
         out = [
             self._apply_shard(shard, rng, semester_hours)
             for shard in (*student_shards, *group_shards)
@@ -426,49 +556,42 @@ class FaultSweep:
         n = len(student_shards)
         return tuple(out[:n]), tuple(out[n:])
 
-    # -- per-shard rewriting ------------------------------------------------
-
     def _apply_shard(
         self, shard: ShardPlan, rng: np.random.Generator, semester_hours: float
     ) -> ShardPlan:
+        record = self.ledger.record
         vm_labs: list[VmLabActivity] = []
         for act in shard.vm_labs:
-            vm_labs.extend(
-                self._rewrite_instance_run(
-                    act, rng, semester_hours,
-                    site=KVM_SITE, lab=act.lab_id, hours=act.duration,
-                    instances=act.vm_count, resource=act.flavor,
-                    rebuild=lambda a, s, h, _act=act: replace(_act, start=s, duration=h),
-                )
+            segments, walked = self._walk_run(
+                rng, semester_hours, KVM_SITE, act.start, act.duration, act.vm_count
             )
-        slots = [
-            moved
-            for act in shard.slots
-            if (moved := self._rewrite_booking(
-                act, rng, semester_hours,
-                site=act.site, lab=act.lab_id, hours=act.slot_hours,
-                resource=act.node_type,
-            )) is not None
-        ]
+            record(walked, KVM_SITE, act.user, act.lab_id, act.flavor)
+            vm_labs.extend(replace(act, start=s, duration=h) for s, h in segments)
+        slots: list[SlotActivity] = []
+        for slot in shard.slots:
+            start, walked = self._walk_booking(
+                rng, semester_hours, slot.site, slot.start, slot.slot_hours
+            )
+            record(walked, slot.site, slot.user, slot.lab_id, slot.node_type)
+            if start is not None:
+                slots.append(slot if start == slot.start else replace(slot, start=start))
         project_vms: list[ProjectVmActivity] = []
-        for vm_act in shard.project_vms:
-            project_vms.extend(
-                self._rewrite_instance_run(
-                    vm_act, rng, semester_hours,
-                    site=KVM_SITE, lab="project", hours=vm_act.hours,
-                    instances=1, resource=vm_act.flavor,
-                    rebuild=lambda a, s, h, _act=vm_act: replace(_act, start=s, hours=h),
-                )
+        for vm in shard.project_vms:
+            segments, walked = self._walk_run(
+                rng, semester_hours, KVM_SITE, vm.start, vm.hours, 1
             )
-        project_leases = [
-            moved
-            for lease_act in shard.project_leases
-            if (moved := self._rewrite_booking(
-                lease_act, rng, semester_hours,
-                site=lease_act.site, lab="project", hours=lease_act.hours,
-                resource=lease_act.node_type,
-            )) is not None
-        ]
+            record(walked, KVM_SITE, vm.user, "project", vm.flavor)
+            project_vms.extend(replace(vm, start=s, hours=h) for s, h in segments)
+        project_leases: list[ProjectLeaseActivity] = []
+        for lease in shard.project_leases:
+            start, walked = self._walk_booking(
+                rng, semester_hours, lease.site, lease.start, lease.hours
+            )
+            record(walked, lease.site, lease.user, "project", lease.node_type)
+            if start is not None:
+                project_leases.append(
+                    lease if start == lease.start else replace(lease, start=start)
+                )
         return replace(
             shard,
             vm_labs=tuple(vm_labs),
@@ -477,139 +600,204 @@ class FaultSweep:
             project_leases=tuple(project_leases),
         )
 
-    def _rewrite_instance_run(
+    # -- column adapter -----------------------------------------------------
+
+    def apply_tables(self, tables, *, schema, semester_hours: float):
+        """Fault-resolve native columnar activity tables (pre-admission).
+
+        The column twin of :meth:`apply` over
+        :class:`~repro.columnar.planner.ActivityTables` in native rank
+        order.  A killed run expands into its segment rows in place, an
+        abandoned run or booking drops its row, and the ``ps_*`` storage
+        rows pass through.  An empty calendar returns ``tables`` itself.
+        """
+        from repro.columnar.schema import SITE_NAMES, group_user, student_user
+
+        rng = self._begin()
+        if rng is None:
+            return tables
+        labs, rtypes = schema.lab_names, schema.rtype_names
+        t = tables
+        (vm_rows, vm_start, vm_hours), (slot_rows, slot_start) = self._walk_family(
+            rng,
+            semester_hours,
+            student_user,
+            runs=(
+                t.vm_student, t.vm_start, t.vm_duration, t.vm_count.tolist(),
+                _decode(labs, t.vm_lab), _decode(rtypes, t.vm_flavor),
+            ),
+            bookings=(
+                t.slot_student, _decode(SITE_NAMES, t.slot_site), t.slot_start,
+                t.slot_hours, _decode(labs, t.slot_lab), _decode(rtypes, t.slot_node),
+            ),
+        )
+        n_pvm = len(t.pvm_start)
+        (pvm_rows, pvm_start, pvm_hours), (pl_rows, pl_start) = self._walk_family(
+            rng,
+            semester_hours,
+            group_user,
+            runs=(
+                t.pvm_group, t.pvm_start, t.pvm_hours, [1] * n_pvm,
+                ["project"] * n_pvm, _decode(rtypes, t.pvm_flavor),
+            ),
+            bookings=(
+                t.pl_group, _decode(SITE_NAMES, t.pl_site), t.pl_start, t.pl_hours,
+                ["project"] * len(t.pl_start), _decode(rtypes, t.pl_node),
+            ),
+        )
+        return replace(
+            t,
+            **_take(t, "vm_", vm_rows, vm_start=vm_start, vm_duration=vm_hours),
+            **_take(t, "slot_", slot_rows, slot_start=slot_start),
+            **_take(t, "pvm_", pvm_rows, pvm_start=pvm_start, pvm_hours=pvm_hours),
+            **_take(t, "pl_", pl_rows, pl_start=pl_start),
+        )
+
+    def _walk_family(self, rng, semester_hours, user_of, *, runs, bookings):
+        """Walk one owner family's run rows and booking rows, owner-major.
+
+        ``runs`` is (owner, start, hours, instances, lab, resource) and
+        ``bookings`` is (owner, site, start, hours, lab, resource), each
+        column a row-aligned array or list with owners ascending.  Each
+        owner's runs are walked before its bookings, the object shard
+        order.  Returns ``(source rows, starts, hours)`` for the run
+        segments and ``(source rows, starts)`` for the kept bookings.
+        """
+        r_owner, r_start, r_hours, r_count, r_lab, r_res = runs
+        b_owner, b_site, b_start, b_hours, b_lab, b_res = bookings
+        n_runs = len(r_owner)
+        owners = np.concatenate([r_owner, b_owner])
+        order = np.argsort(owners, kind="stable").tolist()
+        owners = owners.tolist()
+        r_start, r_hours = r_start.tolist(), r_hours.tolist()
+        b_start, b_hours = b_start.tolist(), b_hours.tolist()
+        walk_run, walk_booking = self._walk_run, self._walk_booking
+        record = self.ledger.record
+        run_rows: list[int] = []
+        run_starts: list[float] = []
+        run_hours: list[float] = []
+        book_rows: list[int] = []
+        book_starts: list[float] = []
+        for row in order:
+            if row < n_runs:
+                segments, walked = walk_run(
+                    rng, semester_hours, KVM_SITE, r_start[row], r_hours[row], r_count[row]
+                )
+                if walked:
+                    record(walked, KVM_SITE, user_of(owners[row]), r_lab[row], r_res[row])
+                for seg_start, seg_hours in segments:
+                    run_rows.append(row)
+                    run_starts.append(seg_start)
+                    run_hours.append(seg_hours)
+            else:
+                b = row - n_runs
+                start, walked = walk_booking(
+                    rng, semester_hours, b_site[b], b_start[b], b_hours[b]
+                )
+                if walked:
+                    record(walked, b_site[b], user_of(owners[row]), b_lab[b], b_res[b])
+                if start is not None:
+                    book_rows.append(b)
+                    book_starts.append(start)
+        return (
+            (
+                np.asarray(run_rows, dtype=np.intp),
+                np.asarray(run_starts, dtype=np.float64),
+                np.asarray(run_hours, dtype=np.float64),
+            ),
+            (np.asarray(book_rows, dtype=np.intp), np.asarray(book_starts, dtype=np.float64)),
+        )
+
+    # -- value-level walks (the one copy of the fault semantics) -------------
+
+    def _walk_run(
         self,
-        act: VmLabActivity | ProjectVmActivity,
         rng: np.random.Generator,
         semester_hours: float,
-        *,
         site: str,
-        lab: str,
+        start: float,
         hours: float,
         instances: int,
-        resource: str,
-        rebuild,
-    ) -> list:
+    ) -> tuple[list[tuple[float, float]], list[WalkEntry]]:
         """Fault-resolve one unattended instance run (VM lab / project VM).
 
         Start delays, then a segment walk: each segment runs until the
         earlier of its planned end, a hazard draw, or the next outage;
         kills relaunch after policy backoff with redo hours, until the
-        retry budget or the semester runs out.
+        retry budget or the semester runs out.  Returns the executed
+        ``(start, hours)`` segments and the walk's ledger entries.
         """
         cal = self.calendar
-        cfg = cal.config
-        start = self._clear_start(site, act.start, rng, semester_hours)
-        if start is None:
-            self.ledger.add(FaultEvent(
-                kind="abandoned", site=site, user=act.user, lab=lab,
-                resource_type=resource, at=act.start,
-                lost_hours=hours * instances,
-            ))
-            return []
-        if start > act.start:
-            self.ledger.add(FaultEvent(
-                kind="delayed_start", site=site, user=act.user, lab=lab,
-                resource_type=resource, at=act.start,
-                delay_hours=start - act.start,
-            ))
+        walked: list[WalkEntry] = []
+        seg_start = self._clear_interval(site, start, 0.0, rng, semester_hours)
+        if seg_start is None:
+            walked.append(("abandoned", start, hours * instances, 0.0, 0.0))
+            return [], walked
+        if seg_start > start:
+            walked.append(("delayed_start", start, 0.0, 0.0, seg_start - start))
 
-        out = []
+        segments: list[tuple[float, float]] = []
         remaining = hours
-        seg_start = start
         relaunches = 0
-        hazard = cfg.hazard_rate_per_khour / 1000.0 * instances
+        hazard = cal.config.hazard_rate_per_khour / 1000.0 * instances
         while remaining > _MIN_SEGMENT_HOURS and seg_start < semester_hours:
-            kill_in = np.inf
+            kill_in = math.inf
             if hazard > 0:
                 kill_in = float(rng.exponential(1.0 / hazard))
             window = cal.outage_over(site, seg_start, min(seg_start + remaining, semester_hours))
-            outage_in = window.start - seg_start if window is not None else np.inf
+            outage_in = window.start - seg_start if window is not None else math.inf
             cut = min(kill_in, outage_in)
             if cut >= remaining:
-                out.append(rebuild(act, seg_start, remaining))
-                return out
+                segments.append((seg_start, remaining))
+                return segments, walked
 
             executed = max(cut, 0.0)
             kill_t = seg_start + executed
             if executed > _MIN_SEGMENT_HOURS:
-                out.append(rebuild(act, seg_start, executed))
+                segments.append((seg_start, executed))
             kind = "outage_kill" if outage_in <= kill_in else "hw_kill"
-            redo = cfg.redo_fraction * executed
+            redo = cal.config.redo_fraction * executed
             left = remaining - executed
 
             relaunches += 1
             u = float(rng.random())  # one draw per relaunch, jitter or not
-            if not self.relaunch.allows_retry(
-                relaunches - 1, elapsed_hours=kill_t - act.start
-            ):
-                self.ledger.add(FaultEvent(
-                    kind="abandoned", site=site, user=act.user, lab=lab,
-                    resource_type=resource, at=kill_t,
-                    lost_hours=left * instances,
-                ))
-                return out
+            if not self.relaunch.allows_retry(relaunches - 1, elapsed_hours=kill_t - start):
+                walked.append(("abandoned", kill_t, left * instances, 0.0, 0.0))
+                return segments, walked
             next_start = kill_t + self.relaunch.backoff_hours(relaunches, u=u)
             if kind == "outage_kill" and window is not None:
                 next_start = max(next_start, window.end)
             next_start = cal.next_clear(site, next_start)
             if next_start >= semester_hours:
-                self.ledger.add(FaultEvent(
-                    kind="abandoned", site=site, user=act.user, lab=lab,
-                    resource_type=resource, at=kill_t,
-                    lost_hours=left * instances,
-                ))
-                return out
-            self.ledger.add(FaultEvent(
-                kind=kind, site=site, user=act.user, lab=lab,
-                resource_type=resource, at=kill_t,
-                redo_hours=redo * instances,
-                delay_hours=next_start - kill_t,
-            ))
+                walked.append(("abandoned", kill_t, left * instances, 0.0, 0.0))
+                return segments, walked
+            walked.append((kind, kill_t, 0.0, redo * instances, next_start - kill_t))
             remaining = left + redo
             seg_start = next_start
-        return out
+        return segments, walked
 
-    def _rewrite_booking(
+    def _walk_booking(
         self,
-        act: SlotActivity | ProjectLeaseActivity,
         rng: np.random.Generator,
         semester_hours: float,
-        *,
         site: str,
-        lab: str,
+        start: float,
         hours: float,
-        resource: str,
-    ):
+    ) -> tuple[float | None, list[WalkEntry]]:
         """Fault-resolve one reservation (lab slot / project lease).
 
         Reserved instances are lease-bound and auto-terminated, so the
         whole interval must clear every outage window; bursts only block
-        the booking call itself.  Returns the moved activity, or None
-        when the retry budget ran out (recorded as abandoned).
+        the booking call itself.  Returns the cleared start, or None when
+        the retry budget ran out (logged as abandoned), and the walk's
+        ledger entries.
         """
-        t = self._clear_interval(site, act.start, hours, rng, semester_hours)
+        t = self._clear_interval(site, start, hours, rng, semester_hours)
         if t is None:
-            self.ledger.add(FaultEvent(
-                kind="abandoned", site=site, user=act.user, lab=lab,
-                resource_type=resource, at=act.start, lost_hours=hours,
-            ))
-            return None
-        if t > act.start:
-            self.ledger.add(FaultEvent(
-                kind="delayed_start", site=site, user=act.user, lab=lab,
-                resource_type=resource, at=act.start, delay_hours=t - act.start,
-            ))
-            return replace(act, start=t)
-        return act
-
-    # -- window-clearing walks ----------------------------------------------
-
-    def _clear_start(
-        self, site: str, t: float, rng: np.random.Generator, semester_hours: float
-    ) -> float | None:
-        """Retry-walk a single provisioning call out of outage/burst windows."""
-        return self._clear_interval(site, t, 0.0, rng, semester_hours)
+            return None, [("abandoned", start, hours, 0.0, 0.0)]
+        if t > start:
+            return t, [("delayed_start", start, 0.0, 0.0, t - start)]
+        return t, []
 
     def _clear_interval(
         self,
@@ -621,9 +809,10 @@ class FaultSweep:
     ) -> float | None:
         """First admissible start >= ``t`` for an interval of ``hours``.
 
-        Outage conflicts retry on the relaunch policy (site-down
-        timescale), burst conflicts on the transient policy (rate-limit
-        timescale); exhausting either budget abandons the attempt.
+        ``hours == 0`` clears a single provisioning call.  Outage
+        conflicts retry on the relaunch policy (site-down timescale),
+        burst conflicts on the transient policy (rate-limit timescale);
+        exhausting either budget abandons the attempt.
         """
         cal = self.calendar
         outage_retries = 0
@@ -656,6 +845,20 @@ class FaultSweep:
                 continue
             return t
         return None
+
+
+def _take(tables, prefix: str, rows: np.ndarray, **rewritten: np.ndarray) -> dict:
+    """One table family's columns at ``rows``, with ``rewritten`` swapped in."""
+    return {
+        f.name: rewritten[f.name] if f.name in rewritten else getattr(tables, f.name)[rows]
+        for f in fields(tables)
+        if f.name.startswith(prefix)
+    }
+
+
+def _decode(vocab: tuple[str, ...], codes: np.ndarray) -> list[str]:
+    """Code column -> per-row vocabulary strings."""
+    return np.asarray(vocab, dtype=object)[codes].tolist()
 
 
 # -- the front door ----------------------------------------------------------------

@@ -7,7 +7,7 @@ batches, one bucket, hundreds of mostly-empty buckets, odd worker
 counts) and every variation must reproduce the reference digest bit for
 bit.  The billing integral is held to *exact* equality with the
 record-level fsum, and a null fault plan must be a byte-exact no-op
-through the object-planner conversion path.
+through the native planner's fault-sweep step.
 """
 
 import dataclasses
@@ -107,8 +107,8 @@ def test_spill_path_is_digest_invariant(tmp_path, reference):
 
 
 def test_null_fault_plan_is_byte_exact_noop():
-    """A null fault calendar routes planning through the object planner
-    and the shard converter — and must still reproduce the native digest."""
+    """A null fault calendar passes through the native planner's fault
+    sweep untouched, so it must reproduce the fault-free digest."""
     config = CohortConfig(seed=SEED)
     calendar = build_fault_calendar(
         FaultPlanConfig(), horizon_hours=SMALL.semester_hours

@@ -5,11 +5,14 @@ resolved fault plan is just data, so worker count can never change the
 merged records digest.
 """
 
+import json
+
 import pytest
 
 from repro.core.cohort import CohortConfig, CohortSimulation, plan_cohort
 from repro.core.course import scaled_course
 from repro.core.report import records_digest
+from repro.faults.__main__ import main as faults_cli
 from repro.faults.plan import FaultPlanConfig, plan_faulted_cohort
 from repro.parallel.engine import execute_plan
 from repro.parallel.merge import merge_shard_records
@@ -94,3 +97,17 @@ def test_fault_seed_independent_of_cohort_seed(fault_seed):
     assert build_fault_calendar(cfg, horizon_hours=horizon) == \
         build_fault_calendar(cfg, horizon_hours=horizon)
     assert ledger_a.events or ledger_b.events
+
+
+def test_cli_verify_gates_the_columnar_engine(capsys):
+    """``--verify`` holds the columnar engine's native fault sweep to the
+    same digest as the parallel and serial object paths."""
+    code = faults_cli([
+        "--outage-rate", "0.3", "--hazard-rate", "2.0", "--burst-rate", "1.0",
+        "--fault-seed", "11", "--scale", "0.25", "--verify", "--json", "-",
+    ])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert summary["digest_match"] is True and summary["columnar_match"] is True
+    assert summary["columnar_digest"] == summary["digest"]
+    assert summary["fault_events"] > 0

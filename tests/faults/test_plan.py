@@ -1,6 +1,8 @@
 """Plan-time fault resolution: calendars, the sweep, and the ledger."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import InvalidStateError, ValidationError
 from repro.core.cohort import (
@@ -99,6 +101,46 @@ class TestCalendar:
         assert cal.outage_over(KVM_SITE, 20.0, 30.0) is None
         assert cal.next_clear(KVM_SITE, 15.0) == 20.0
         assert cal.next_clear(KVM_SITE, 5.0) == 5.0
+
+
+def scan_at(windows, site, t):
+    """Reference point lookup: a scan of the whole calendar."""
+    return next((w for w in windows if w.site == site and w.start <= t < w.end), None)
+
+
+def scan_over(windows, site, start, end):
+    """Reference interval lookup: earliest start, first among ties."""
+    best = None
+    for w in windows:
+        if w.site == site and w.end > start and w.start < end:
+            if best is None or w.start < best.start:
+                best = w
+    return best
+
+
+_times = st.integers(0, 40).map(float)
+_windows = st.lists(
+    st.builds(
+        lambda site, start, length: OutageWindow(site, start, start + length),
+        st.sampled_from((KVM_SITE, METAL_SITE)),
+        _times,
+        st.integers(0, 12).map(float),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(outages=_windows, bursts=_windows, site=st.sampled_from((KVM_SITE, METAL_SITE)),
+       t=_times, hours=st.integers(0, 10).map(float))
+def test_indexed_lookups_match_a_full_scan(outages, bursts, site, t, hours):
+    """Unsorted, overlapping, tied and empty windows: the per-site index
+    returns the very window a scan of the whole calendar would."""
+    bursts = [ApiErrorBurst(w.site, w.start, w.end) for w in bursts]
+    cal = calendar_with(outages=outages, bursts=bursts)
+    assert cal.outage_at(site, t) is scan_at(outages, site, t)
+    assert cal.burst_at(site, t) is scan_at(bursts, site, t)
+    assert cal.outage_over(site, t, t + hours) is scan_over(outages, site, t, t + hours)
 
 
 class TestSweepSemantics:
