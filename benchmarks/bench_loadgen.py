@@ -7,9 +7,16 @@ non-null fault calendar striking the fleet mid-run — reporting p50/p99
 latency, the loss breakdown, and cost per million served requests, with
 the digest-stability contract asserted on every run.
 
-``--quick`` keeps the offered *rate* at millions/day but shortens the
-simulated horizon so CI finishes in seconds.
+Each day is its own benchmark, so the harness times one simulation
+apiece; full runs append each day's simulate seconds and µs per attempt
+to the ``BENCH_loadgen.json`` trajectory at the repo root.  ``--quick`` keeps
+the offered *rate* at millions/day but shortens the simulated horizon so
+CI finishes in seconds, and records nothing.
 """
+
+from types import SimpleNamespace
+
+import pytest
 
 from repro.common.tables import format_table
 from repro.faults.plan import build_serving_calendar
@@ -24,7 +31,10 @@ from repro.loadgen import (
 from repro.serving import DEVICE_CATALOG, InferenceEngine, food11_classifier
 
 
-def test_million_request_day(benchmark, quick):
+@pytest.fixture(scope="module")
+def serving_day(request):
+    """The flash-crowd trace, fleet and fault calendar both days share."""
+    quick = request.config.getoption("--quick")
     hours = 2.0 if quick else 24.0
     traffic = TrafficConfig(
         seed=0,
@@ -46,60 +56,81 @@ def test_million_request_day(benchmark, quick):
 
     trace = generate_trace(traffic)
     assert trace.offered_per_day >= 1e6, "the scenario must offer >= 1M requests/day"
-    engine = InferenceEngine(food11_classifier(), DEVICE_CATALOG["server-cpu-16c"])
-    scaler = AutoscalerConfig(min_replicas=1, max_replicas=8)
-
-    def run_both():
-        clean = simulate_traffic(trace, engine, autoscaler=scaler)
-        faulted = simulate_traffic(trace, engine, autoscaler=scaler, calendar=calendar)
-        return clean, faulted
-
-    clean, faulted = benchmark.pedantic(run_both, rounds=1, iterations=1)
-
-    # digest stability: a rerun and an evaluation-order perturbation must
-    # reproduce both runs byte-for-byte
-    assert simulate_traffic(trace, engine, autoscaler=scaler).digest() == clean.digest()
-    assert (
-        simulate_traffic(
-            trace, engine, autoscaler=scaler, calendar=calendar, perturb=True
-        ).digest()
-        == faulted.digest()
+    return SimpleNamespace(
+        hours=hours,
+        trace=trace,
+        engine=InferenceEngine(food11_classifier(), DEVICE_CATALOG["server-cpu-16c"]),
+        scaler=AutoscalerConfig(min_replicas=1, max_replicas=8),
+        calendar=calendar,
+        results={},
     )
 
+
+@pytest.mark.parametrize("day", ["fault-free", "faulted"])
+def test_million_request_day(benchmark, quick, bench_trajectory, serving_day, day):
+    s = serving_day
+    faulted = day == "faulted"
+    kwargs = dict(autoscaler=s.scaler, calendar=s.calendar if faulted else None)
+    result = benchmark.pedantic(
+        simulate_traffic, args=(s.trace, s.engine), kwargs=kwargs, rounds=1, iterations=1
+    )
+    s.results[day] = result
+
+    # digest stability: a rerun (fault-free) and an evaluation-order
+    # perturbation (faulted) must reproduce the day byte-for-byte
+    rerun = simulate_traffic(s.trace, s.engine, perturb=faulted, **kwargs)
+    assert rerun.digest() == result.digest()
+
     policy = SloPolicy(p99_budget_ms=250.0, max_loss_rate=0.01)
-    rows = []
-    for name, result in (("fault-free", clean), ("faulted", faulted)):
-        report = build_report(result, engine, policy)
-        rows.append(
-            [
-                name,
-                result.offered,
-                result.served,
-                f"{result.loss_rate:.3%}",
-                result.p50_ms,
-                result.p99_ms,
-                result.telemetry.peak_replicas,
-                result.replica_hours,
-                report.cost_per_million_usd,
-                "yes" if report.slo.attained else "no",
-            ]
-        )
+    report = build_report(result, s.engine, policy)
     print()
     print(
         format_table(
             ["run", "offered", "served", "loss", "p50 ms", "p99 ms",
              "peak", "repl hrs", "$/M", "slo"],
-            rows,
+            [
+                [
+                    day,
+                    result.offered,
+                    result.served,
+                    f"{result.loss_rate:.3%}",
+                    result.p50_ms,
+                    result.p99_ms,
+                    result.telemetry.peak_replicas,
+                    result.replica_hours,
+                    report.cost_per_million_usd,
+                    "yes" if report.slo.attained else "no",
+                ]
+            ],
             title=(
                 f"2M-requests/day flash-crowd traffic on server-cpu-16c"
-                f" ({hours:g} h horizon):"
+                f" ({s.hours:g} h horizon):"
             ),
             float_fmt=",.2f",
         )
     )
 
     # shape: the outage costs requests (losses strictly worse than clean)
-    # while the autoscaler keeps both runs serving the vast majority
-    assert clean.served > 0.9 * clean.offered
-    assert faulted.loss_rate > clean.loss_rate
-    assert faulted.faulted and not clean.faulted
+    # while the autoscaler keeps the clean day serving the vast majority
+    assert result.faulted == faulted
+    if faulted:
+        clean = s.results.get("fault-free") or simulate_traffic(
+            s.trace, s.engine, autoscaler=s.scaler
+        )
+        assert result.loss_rate > clean.loss_rate
+    else:
+        assert result.served > 0.9 * result.offered
+
+    if not quick and benchmark.stats is not None:
+        simulate_s = benchmark.stats.stats.total
+        bench_trajectory(
+            "loadgen",
+            {
+                "day": day,
+                "hours": s.hours,
+                "attempts": result.attempts_total,
+                "simulate_s": round(simulate_s, 3),
+                "us_per_attempt": round(simulate_s / result.attempts_total * 1e6, 3),
+                "digest": result.digest(),
+            },
+        )

@@ -7,15 +7,14 @@ be non-empty while the defended policies' LOCKED regions stay empty —
 and the determinism contract pinned: the campaign digest is
 byte-identical across the two worker counts.
 
-Full runs record points/s and the fan-out speedup to
-``BENCH_resilience_sweep.json`` at the repo root; ``--quick`` keeps the
-same grid but skips the serial baseline (CI smoke: one parallel run).
+Full runs append a record (serial seconds per point, points/s and the
+fan-out speedup) to the ``BENCH_resilience_sweep.json`` trajectory at
+the repo root; ``--quick`` keeps the same grid but skips the serial
+baseline (CI smoke: one parallel run) and records nothing.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.resilience.sweep import quick_sweep_config, run_sweep
 
@@ -27,7 +26,7 @@ WORKERS = 4
 SPEEDUP_FLOOR = 1.5
 
 
-def test_phase_map_sweep(benchmark, quick):
+def test_phase_map_sweep(benchmark, quick, bench_trajectory):
     config = quick_sweep_config()
     n_points = config.axes.points
 
@@ -68,6 +67,8 @@ def test_phase_map_sweep(benchmark, quick):
         results.update(
             {
                 "serial_s": round(serial_s, 3),
+                "serial_point_s": round(serial_s / n_points, 3),
+                "serial_points_per_s": round(n_points / serial_s, 3),
                 "fanout_speedup": round(speedup, 2),
             }
         )
@@ -81,8 +82,7 @@ def test_phase_map_sweep(benchmark, quick):
                 f"sweep fan-out only {speedup:.2f}x vs serial on "
                 f"{cpu_count} cores (floor {SPEEDUP_FLOOR}x)"
             )
-        out = Path(__file__).resolve().parents[1] / "BENCH_resilience_sweep.json"
-        out.write_text(json.dumps(results, indent=2) + "\n")
+        bench_trajectory("resilience_sweep", results)
     else:
         print(
             f"sweep {n_points} points at {WORKERS} workers: {parallel_s:.1f}s "

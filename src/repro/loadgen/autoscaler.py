@@ -88,6 +88,9 @@ class ReplicaSet:
     def __init__(self, config: AutoscalerConfig) -> None:
         self.config = config
         self.replicas: list[Replica] = []
+        # the live replicas in rid order: ``_launch`` appends, ``terminate``
+        # removes, so the hot path never rescans every replica ever launched
+        self._live: list[Replica] = []
         self.telemetry = FleetTelemetry()
         self._idle_ticks = 0
         # the initial fleet is ready at t=0: the operator provisioned it
@@ -99,11 +102,11 @@ class ReplicaSet:
     # -- fleet views --------------------------------------------------------
 
     def live(self) -> list[Replica]:
-        return [r for r in self.replicas if r.live]
+        return list(self._live)
 
     @property
     def open_spans(self) -> int:
-        return sum(1 for r in self.replicas if r.live)
+        return len(self._live)
 
     def billed_replica_hours(self) -> float:
         """Total replica-hours across all closed spans (fleet must be drained)."""
@@ -117,12 +120,13 @@ class ReplicaSet:
         reverse, the loadgen analogue of `repro.parallel`'s
         evaluation-order equivalence.  Returns None when the fleet is
         empty (mid-outage, pre-provisioning).
+
+        The returned time is the very object ``max`` picks (its first
+        maximal argument), not a copy: whether it is a Python float or a
+        numpy scalar flows into span end times and their ``repr``.
         """
-        live = self.live()
-        if perturb:
-            live = list(reversed(live))
         best: tuple[float, int] | None = None
-        for r in live:
+        for r in reversed(self._live) if perturb else self._live:
             avail = (max(r.free_at, r.ready_at, now_s), r.rid)
             if best is None or avail < best:
                 best = avail
@@ -138,7 +142,8 @@ class ReplicaSet:
             free_at=ready_at,
         )
         self.replicas.append(replica)
-        self.telemetry.peak_replicas = max(self.telemetry.peak_replicas, self.open_spans)
+        self._live.append(replica)
+        self.telemetry.peak_replicas = max(self.telemetry.peak_replicas, len(self._live))
         return replica
 
     def terminate(self, rid: int, now_s: float, reason: str) -> tuple[int, ...]:
@@ -155,6 +160,7 @@ class ReplicaSet:
             )
         replica.terminated_at = max(now_s, replica.launched_at)
         replica.reason = reason
+        self._live = [r for r in self._live if r is not replica]
         lost = replica.inflight if replica.free_at > now_s else ()
         replica.inflight = ()
         return lost
@@ -175,14 +181,9 @@ class ReplicaSet:
         casualty set is deterministic.  Returns the request indices lost
         in flight, in (rid) order."""
         lost: list[int] = []
-        killed = 0
-        for r in list(self.replicas):
-            if limit is not None and killed >= limit:
-                break
-            if r.live:
-                lost.extend(self.terminate(r.rid, now_s, "outage"))
-                self.telemetry.outage_kills += 1
-                killed += 1
+        for r in self._live[:limit]:  # [:None] is the whole live list
+            lost.extend(self.terminate(r.rid, now_s, "outage"))
+            self.telemetry.outage_kills += 1
         self._idle_ticks = 0
         return lost
 
@@ -207,7 +208,7 @@ class ReplicaSet:
         """
         cfg = self.config
         self.telemetry.ticks += 1
-        fleet = self.live()
+        fleet = self._live
         alive = len(fleet)
 
         # scale up: enough capacity that the current backlog meets target
@@ -240,6 +241,5 @@ class ReplicaSet:
 
     def drain(self, now_s: float) -> None:
         """Terminate every surviving replica once its last batch finishes."""
-        for r in self.replicas:
-            if r.live:
-                self.terminate(r.rid, max(now_s, r.free_at), "drain")
+        for r in list(self._live):
+            self.terminate(r.rid, max(now_s, r.free_at), "drain")

@@ -89,22 +89,25 @@ class RequestQueue:
         # arrival, not the original request's)
         self._times = enqueued_at if enqueued_at is not None else arrivals_s
         self._status = status
-        self._pending: deque[int] = deque()
+        #: The waiting request indices, oldest first.  Only the queue
+        #: changes it; the simulation loop reads ``len(pending)`` as the
+        #: depth without a property call per event.
+        self.pending: deque[int] = deque()
         self.max_depth = 0
         self.rejected = 0
         self.errored = 0
         self.dropped = 0
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return len(self.pending)
 
     @property
     def depth(self) -> int:
-        return len(self._pending)
+        return len(self.pending)
 
     def head_arrival(self) -> float:
         """Enqueue time of the oldest waiter (queue must be non-empty)."""
-        return float(self._times[self._pending[0]])
+        return float(self._times[self.pending[0]])
 
     # -- arrival side -------------------------------------------------------
 
@@ -114,13 +117,13 @@ class RequestQueue:
             self._status[idx] = ERROR
             self.errored += 1
             return False
-        if len(self._pending) >= self.admission.queue_capacity:
+        if len(self.pending) >= self.admission.queue_capacity:
             self._status[idx] = REJECTED
             self.rejected += 1
             return False
-        self._pending.append(idx)
-        if len(self._pending) > self.max_depth:
-            self.max_depth = len(self._pending)
+        self.pending.append(idx)
+        if len(self.pending) > self.max_depth:
+            self.max_depth = len(self.pending)
         return True
 
     # -- dispatch side ------------------------------------------------------
@@ -141,8 +144,8 @@ class RequestQueue:
         """
         deadline = self.admission.deadline_s
         dropped: list[int] = []
-        while self._pending and start_s - self._times[self._pending[0]] > deadline:
-            idx = self._pending.popleft()
+        while self.pending and start_s - self._times[self.pending[0]] > deadline:
+            idx = self.pending.popleft()
             self._status[idx] = DROPPED
             self.dropped += 1
             dropped.append(idx)
@@ -157,14 +160,14 @@ class RequestQueue:
         :func:`repro.serving.simulate_batching`.  Caller must have
         admitted all arrivals up to the window close first.
         """
-        if not self._pending:
+        if not self.pending:
             return []
         close = self.batching.window_close(earliest_start_s)
-        batch: list[int] = [self._pending.popleft()]
+        batch: list[int] = [self.pending.popleft()]
         while (
-            self._pending
+            self.pending
             and len(batch) < self.batching.max_batch
-            and self._times[self._pending[0]] <= close
+            and self._times[self.pending[0]] <= close
         ):
-            batch.append(self._pending.popleft())
+            batch.append(self.pending.popleft())
         return batch

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -232,22 +233,22 @@ def _serving_windows(
     return outages, bursts
 
 
-def _merged_edges(windows: list[tuple[float, float]]) -> np.ndarray:
-    """Flattened edge array of the merged ``[start, end)`` windows.
+def _merged_edges(windows: list[tuple[float, float]]) -> list[float]:
+    """Flattened edge list of the merged ``[start, end)`` windows.
 
-    Searchsorted parity against this array answers "is instant ``t``
+    ``bisect_right`` parity against this list answers "is instant ``t``
     inside any window" for retry attempts, matching the index-based
     ``in_burst`` marking used for the original arrivals (left-closed,
     right-open; overlapping windows union)."""
     if not windows:
-        return np.zeros(0)
+        return []
     merged: list[list[float]] = []
     for ws, we in sorted(windows):
         if merged and ws <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], we)
         else:
             merged.append([ws, we])
-    return np.asarray([edge for w in merged for edge in w])
+    return [edge for w in merged for edge in w]
 
 
 def simulate_traffic(
@@ -294,6 +295,7 @@ def simulate_traffic(
         lo = int(np.searchsorted(arrivals, ws, side="left"))
         hi = int(np.searchsorted(arrivals, we, side="left"))
         in_burst[lo:hi] = True
+    burst_flags = memoryview(in_burst)  # per-arrival reads as Python bools
 
     # outage edge events, time-ordered: (time, kind, scope) with start
     # before end on ties (kind 0 < 1), full-site before partial
@@ -314,13 +316,23 @@ def simulate_traffic(
     else:
         enq = arrivals
         runtime = None
-        burst_edges = np.zeros(0)
+        burst_edges = []
         queue = RequestQueue(admission, batching, arrivals, status)
+    pending = queue.pending  # its length is the queue depth
     fleet = ReplicaSet(autoscaler)
     interval = autoscaler.control_interval_s
+    # batch service time by batch size, from the engine's own definition:
+    # a batch never exceeds max_batch, and size 0 is never served
+    service_time_by_size = [None] + [
+        engine.service_time_s(size) for size in range(1, batching.max_batch + 1)
+    ]
 
     i = 0        # next arrival to process
     oi = 0       # next outage edge to process
+    # the instants of the next arrival and outage edge, re-read only when
+    # i or oi moves; an arrival instant stays the trace array's numpy scalar
+    ta_next = arrivals[0]
+    to_next = outage_events[0][0] if outage_events else _INF
     next_tick = interval
     now = 0.0
     batches = 0
@@ -341,7 +353,7 @@ def simulate_traffic(
 
     def in_burst_at(t: float) -> bool:
         """Burst-window membership by instant (retries re-check by time)."""
-        return bool(np.searchsorted(burst_edges, t, side="right") % 2)
+        return bisect_right(burst_edges, t) % 2 == 1
 
     def book_failure(idx: int, t: float, code: int) -> None:
         """Closed loop only: one attempt just terminated as ``code``.  Ask
@@ -368,7 +380,7 @@ def simulate_traffic(
         if burst:
             queue.offer(idx, in_burst=True)  # books ERROR
             book_failure(idx, t, ERROR)
-        elif not runtime.admit(idx, t, queue.depth):
+        elif not runtime.admit(idx, t, len(pending)):
             status[idx] = SHED
             book_failure(idx, t, SHED)
         elif not queue.offer(idx, in_burst=False):  # books REJECTED
@@ -378,17 +390,18 @@ def simulate_traffic(
         """Process every event with time <= limit, in chronological order
         (outage edges, then control ticks, then arrivals, then retries on
         ties)."""
-        nonlocal i, oi, next_tick, now, dark_now
+        nonlocal i, oi, ta_next, to_next, next_tick, now, dark_now
         while True:
-            ta = arrivals[i] if i < n else _INF
+            ta = ta_next
             tr = retry_heap[0][0] if retry_heap else _INF
-            to = outage_events[oi][0] if oi < len(outage_events) else _INF
+            to = to_next
             tm = min(ta, tr, to, next_tick)
             if tm > limit:
                 break
             if to <= next_tick and to <= ta and to <= tr:
                 t, kind, dark = outage_events[oi]
                 oi += 1
+                to_next = outage_events[oi][0] if oi < len(outage_events) else _INF
                 now = t
                 if kind == 0:
                     if dark:
@@ -407,16 +420,17 @@ def simulate_traffic(
                 next_tick += interval
                 fleet.tick(
                     now,
-                    queue.depth,
+                    len(pending),
                     not_ready_before_s=outage_end_covering(now),
                     dark_replicas=dark_now,
                 )
                 if closed_loop:
-                    runtime.sample_depth(now, queue.depth, fleet.open_spans)
+                    runtime.sample_depth(now, len(pending), fleet.open_spans)
             elif ta <= tr:
                 now = ta
-                offer_attempt(i, ta, bool(in_burst[i]))
+                offer_attempt(i, ta, burst_flags[i])
                 i += 1
+                ta_next = arrivals[i] if i < n else _INF
             else:
                 t, _, idx = heapq.heappop(retry_heap)
                 now = t
@@ -428,32 +442,30 @@ def simulate_traffic(
         (attempts only: structural events inside the millisecond window
         are evaluated at the next dispatch boundary — a defined part of
         the semantics).  Original arrivals beat retries on exact ties."""
-        nonlocal i
+        nonlocal i, ta_next
         while True:
-            ta = arrivals[i] if i < n else _INF
+            ta = ta_next
             tr = retry_heap[0][0] if retry_heap else _INF
             if min(ta, tr) > close:
                 break
             if ta <= tr:
-                offer_attempt(i, ta, bool(in_burst[i]))
+                offer_attempt(i, ta, burst_flags[i])
                 i += 1
+                ta_next = arrivals[i] if i < n else _INF
             else:
                 t, _, idx = heapq.heappop(retry_heap)
                 offer_attempt(idx, t, in_burst_at(t))
 
     while True:
-        if queue.depth == 0:
-            ta = arrivals[i] if i < n else _INF
+        if not pending:
             tr = retry_heap[0][0] if retry_heap else _INF
-            if ta == _INF and tr == _INF:
+            if ta_next == _INF and tr == _INF:
                 break
-            advance(min(ta, tr))
+            advance(min(ta_next, tr))
             continue
 
         avail = fleet.next_available(now, perturb=perturb)
-        next_struct = min(
-            next_tick, outage_events[oi][0] if oi < len(outage_events) else _INF
-        )
+        next_struct = min(next_tick, to_next)
         if avail is None:
             advance(next_struct)
             continue
@@ -470,10 +482,10 @@ def simulate_traffic(
             continue
 
         admit_through_window(batching.window_close(t_start))
-        depth_at_dispatch = queue.depth
+        depth_at_dispatch = len(pending)
         batch = queue.take_batch(t_start)
         service_start = max(t_start, float(enq[batch[-1]]))
-        service_time = engine.service_time_s(len(batch))
+        service_time = service_time_by_size[len(batch)]
         if closed_loop:
             factor = runtime.service_factor(depth_at_dispatch)
             if factor != 1.0:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import InvalidStateError, ValidationError
 from repro.loadgen import (
@@ -169,3 +171,90 @@ class TestReactiveScaling:
             AutoscalerConfig(min_replicas=4, max_replicas=2)
         with pytest.raises(ValidationError):
             AutoscalerConfig(control_interval_s=0.0)
+
+
+# -- the live list against the full scan ------------------------------------
+
+#: Instants drawn from a small grid so ties are common, each as a Python
+#: float or a numpy scalar: equal values of different types are exactly
+#: where "which object does max() return" matters.
+INSTANTS = st.builds(
+    lambda v, numpy: np.float64(v) if numpy else float(v),
+    st.sampled_from([0.0, 5.0, 10.0, 15.0, 30.0, 60.0, 90.0]),
+    st.booleans(),
+)
+
+#: (fleet operation, instant to probe ``next_available`` at afterwards)
+FLEET_STEPS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(
+                st.just("tick"), INSTANTS, st.integers(0, 120), INSTANTS, st.integers(0, 3)
+            ),
+            st.tuples(st.just("dispatch"), st.integers(0, 7), INSTANTS),
+            st.tuples(st.just("strike"), INSTANTS, st.one_of(st.none(), st.integers(0, 3))),
+            st.tuples(st.just("terminate"), st.integers(0, 7), INSTANTS),
+            st.tuples(st.just("drain"), INSTANTS),
+        ),
+        INSTANTS,
+    ),
+    max_size=40,
+)
+
+
+def scanned_next_available(replicas, now_s, perturb):
+    """The full-scan definition: min over live replicas of
+    ``(max(free_at, ready_at, now), rid)``."""
+    live = [r for r in replicas if r.live]
+    if perturb:
+        live.reverse()
+    best = None
+    for r in live:
+        avail = (max(r.free_at, r.ready_at, now_s), r.rid)
+        if best is None or avail < best:
+            best = avail
+    return best
+
+
+class TestLiveListProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=FLEET_STEPS)
+    def test_live_list_matches_full_scan(self, steps):
+        cfg = AutoscalerConfig(
+            min_replicas=1, max_replicas=6, provisioning_lag_s=15.0,
+            target_queue_per_replica=16.0, scale_down_idle_ticks=2,
+        )
+        fleet = ReplicaSet(cfg)
+        peak = 1
+        for (kind, *args), now in steps:
+            live = [r for r in fleet.replicas if r.live]
+            if kind == "tick":
+                t, depth, not_ready_before, dark = args
+                fleet.tick(t, depth, not_ready_before_s=not_ready_before, dark_replicas=dark)
+            elif kind == "dispatch" and live:
+                pick, busy_until = args
+                r = live[pick % len(live)]
+                fleet.dispatch(r.rid, (r.rid,), busy_until)
+            elif kind == "strike":
+                t, limit = args
+                fleet.strike(t, limit=limit)
+            elif kind == "terminate" and live:
+                pick, t = args
+                fleet.terminate(live[pick % len(live)].rid, t, "scale_down")
+            elif kind == "drain":
+                fleet.drain(args[0])
+
+            scanned = [r for r in fleet.replicas if r.live]
+            peak = max(peak, len(scanned))
+            assert [r.rid for r in fleet.live()] == [r.rid for r in scanned]
+            assert all(a is b for a, b in zip(fleet.live(), scanned))
+            assert fleet.open_spans == len(scanned)
+            assert fleet.telemetry.peak_replicas == peak
+            for perturb in (False, True):
+                got = fleet.next_available(now, perturb=perturb)
+                want = scanned_next_available(fleet.replicas, now, perturb)
+                assert got == want
+                if want is not None:
+                    # the very object max() picked first: its type reaches
+                    # span end times and, through repr, the digest
+                    assert got[0] is want[0]
