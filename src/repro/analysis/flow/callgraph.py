@@ -95,6 +95,12 @@ def _edges_for(fi: FunctionInfo, index: ProgramIndex) -> set[str]:
             if dotted is None:
                 continue
             resolved = _resolve_dotted_here(fi, dotted, index)
+            if resolved is None and isinstance(node, ast.Attribute):
+                # a bound method taken as a value (`hook = obj.method`)
+                # is reached through whatever later calls the value
+                recv = _expr_class(fi, env, node.value, index)
+                if recv is not None:
+                    resolved = index.lookup_method(recv, node.attr)
             if resolved is not None:
                 out.update(_as_function_edges(resolved, index))
     out.discard(fi.qname)

@@ -82,13 +82,15 @@ class RequestQueue:
     ) -> None:
         self.admission = admission
         self.batching = batching
+        self._capacity = admission.queue_capacity
         self._arrivals = arrivals_s
         # per-request enqueue instants: the arrival array itself in the
         # open-loop simulation, a writable copy under closed-loop retries
         # (an attempt's deadline and batch-window run from the *attempt*
-        # arrival, not the original request's)
-        self._times = enqueued_at if enqueued_at is not None else arrivals_s
-        self._status = status
+        # arrival, not the original request's).  Both per-request arrays
+        # are accessed through memoryviews: Python scalars, no numpy boxing
+        self._times = memoryview(enqueued_at if enqueued_at is not None else arrivals_s)
+        self._status = memoryview(status)
         #: The waiting request indices, oldest first.  Only the queue
         #: changes it; the simulation loop reads ``len(pending)`` as the
         #: depth without a property call per event.
@@ -117,7 +119,7 @@ class RequestQueue:
             self._status[idx] = ERROR
             self.errored += 1
             return False
-        if len(self.pending) >= self.admission.queue_capacity:
+        if len(self.pending) >= self._capacity:
             self._status[idx] = REJECTED
             self.rejected += 1
             return False

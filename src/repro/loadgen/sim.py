@@ -36,9 +36,9 @@ its digest is byte-identical to the pre-resilience definition.
 from __future__ import annotations
 
 import hashlib
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,6 +64,7 @@ if TYPE_CHECKING:  # no runtime import: loadgen must not depend on resilience
     from repro.resilience.clients import ResilienceModel, ResilienceOutcome
 
 _INF = float("inf")
+_NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -288,6 +289,12 @@ def simulate_traffic(
     start_s = np.full(n, np.nan)
     finish_s = np.full(n, np.nan)
     replica_of = np.full(n, -1, dtype=np.int32)
+    # per-request stores go through memoryviews, which take a Python
+    # scalar without numpy's scalar boxing; the stored bytes are the same
+    status_mv = memoryview(status)
+    start_mv = memoryview(start_s)
+    finish_mv = memoryview(finish_s)
+    replica_mv = memoryview(replica_of)
 
     outage_windows, burst_windows = _serving_windows(calendar, trace.config.duration_s)
     in_burst = np.zeros(n, dtype=bool)
@@ -311,6 +318,12 @@ def simulate_traffic(
         # batch-window membership run from the attempt, not the arrival
         enq = arrivals.copy()
         runtime = resilience.runtime(arrivals, admission.queue_capacity)
+        # the per-attempt hooks, bound once per run (through the class
+        # attributes, so a class-level wrapper installed before the run
+        # still sees every call)
+        begin_attempt = runtime.begin_attempt
+        admit = runtime.admit
+        on_failure = runtime.on_failure
         burst_edges = _merged_edges(burst_windows)
         queue = RequestQueue(admission, batching, arrivals, status, enqueued_at=enq)
     else:
@@ -319,6 +332,8 @@ def simulate_traffic(
         burst_edges = []
         queue = RequestQueue(admission, batching, arrivals, status)
     pending = queue.pending  # its length is the queue depth
+    offer = queue.offer
+    enq_mv = memoryview(enq)
     fleet = ReplicaSet(autoscaler)
     interval = autoscaler.control_interval_s
     # batch service time by batch size, from the engine's own definition:
@@ -356,35 +371,47 @@ def simulate_traffic(
         return bisect_right(burst_edges, t) % 2 == 1
 
     def book_failure(idx: int, t: float, code: int) -> None:
-        """Closed loop only: one attempt just terminated as ``code``.  Ask
-        the runtime for a retry instant; if granted, un-book the loss and
-        put the request back in flight on the retry heap."""
+        """Closed loop only: an attempt that reached the queue or a replica
+        just terminated as ``code`` (DROPPED or FAILED).  Ask the runtime
+        for a retry instant; if granted, un-book the loss and put the
+        request back in flight on the retry heap."""
         nonlocal retry_seq
-        retry_at = runtime.on_failure(idx, t, code)
+        retry_at = on_failure(idx, t, code)
         if retry_at is None:
             return
-        status[idx] = SERVED  # pending again; the next terminal rewrites it
-        start_s[idx] = np.nan
-        finish_s[idx] = np.nan
-        replica_of[idx] = -1
-        heapq.heappush(retry_heap, (retry_at, retry_seq, idx))
+        status_mv[idx] = SERVED  # pending again; the next terminal rewrites it
+        start_mv[idx] = _NAN
+        finish_mv[idx] = _NAN
+        replica_mv[idx] = -1
+        heappush(retry_heap, (retry_at, retry_seq, idx))
         retry_seq += 1
 
     def offer_attempt(idx: int, t: float, burst: bool) -> None:
         """One front-door attempt (fresh arrival or retry) at instant ``t``."""
+        nonlocal retry_seq
         if not closed_loop:
-            queue.offer(idx, in_burst=burst)
+            offer(idx, in_burst=burst)
             return
-        runtime.begin_attempt(idx)
-        enq[idx] = t
+        begin_attempt(idx)
+        enq_mv[idx] = t
         if burst:
-            queue.offer(idx, in_burst=True)  # books ERROR
-            book_failure(idx, t, ERROR)
-        elif not runtime.admit(idx, t, len(pending)):
-            status[idx] = SHED
-            book_failure(idx, t, SHED)
-        elif not queue.offer(idx, in_burst=False):  # books REJECTED
-            book_failure(idx, t, REJECTED)
+            offer(idx, in_burst=True)  # books ERROR
+            code = ERROR
+        elif not admit(idx, t, len(pending)):
+            status_mv[idx] = SHED
+            code = SHED
+        elif not offer(idx, in_burst=False):  # books REJECTED
+            code = REJECTED
+        else:
+            return
+        retry_at = on_failure(idx, t, code)
+        if retry_at is not None:
+            # a front-door failure never started service, and every
+            # granted retry resets start/finish/replica, so only the
+            # status needs un-booking
+            status_mv[idx] = SERVED
+            heappush(retry_heap, (retry_at, retry_seq, idx))
+            retry_seq += 1
 
     def advance(limit: float) -> None:
         """Process every event with time <= limit, in chronological order
@@ -395,8 +422,7 @@ def simulate_traffic(
             ta = ta_next
             tr = retry_heap[0][0] if retry_heap else _INF
             to = to_next
-            tm = min(ta, tr, to, next_tick)
-            if tm > limit:
+            if ta > limit and tr > limit and to > limit and next_tick > limit:
                 break
             if to <= next_tick and to <= ta and to <= tr:
                 t, kind, dark = outage_events[oi]
@@ -407,8 +433,8 @@ def simulate_traffic(
                     if dark:
                         dark_now += dark
                     for idx in fleet.strike(t, limit=dark if dark else None):
-                        status[idx] = FAILED
-                        finish_s[idx] = np.nan
+                        status_mv[idx] = FAILED
+                        finish_mv[idx] = _NAN
                         if closed_loop:
                             book_failure(idx, t, FAILED)
                 elif dark:
@@ -432,7 +458,7 @@ def simulate_traffic(
                 i += 1
                 ta_next = arrivals[i] if i < n else _INF
             else:
-                t, _, idx = heapq.heappop(retry_heap)
+                t, _, idx = heappop(retry_heap)
                 now = t
                 offer_attempt(idx, t, in_burst_at(t))
         now = max(now, limit)
@@ -446,14 +472,14 @@ def simulate_traffic(
         while True:
             ta = ta_next
             tr = retry_heap[0][0] if retry_heap else _INF
-            if min(ta, tr) > close:
+            if ta > close and tr > close:
                 break
             if ta <= tr:
                 offer_attempt(i, ta, burst_flags[i])
                 i += 1
                 ta_next = arrivals[i] if i < n else _INF
             else:
-                t, _, idx = heapq.heappop(retry_heap)
+                t, _, idx = heappop(retry_heap)
                 offer_attempt(idx, t, in_burst_at(t))
 
     while True:
@@ -484,7 +510,7 @@ def simulate_traffic(
         admit_through_window(batching.window_close(t_start))
         depth_at_dispatch = len(pending)
         batch = queue.take_batch(t_start)
-        service_start = max(t_start, float(enq[batch[-1]]))
+        service_start = max(t_start, enq_mv[batch[-1]])
         service_time = service_time_by_size[len(batch)]
         if closed_loop:
             factor = runtime.service_factor(depth_at_dispatch)
@@ -496,10 +522,10 @@ def simulate_traffic(
                     runtime.mark_brownout(batch)
         finish = service_start + service_time
         for idx in batch:
-            status[idx] = SERVED
-            start_s[idx] = service_start
-            finish_s[idx] = finish
-            replica_of[idx] = rid
+            status_mv[idx] = SERVED
+            start_mv[idx] = service_start
+            finish_mv[idx] = finish
+            replica_mv[idx] = rid
         fleet.dispatch(rid, tuple(batch), finish)
         batches += 1
         now = service_start

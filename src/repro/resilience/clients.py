@@ -315,11 +315,29 @@ class ClosedLoopRuntime:
     ) -> None:
         n = len(arrivals_s)
         self.model = model
-        self._arrivals = arrivals_s
+        jitter_u = model.jitter_u
+        # backoff_hours' own range check on u, made once over the whole
+        # plan instead of once per retry (NaN fails both comparisons)
+        if not ((jitter_u >= 0.0) & (jitter_u < 1.0)).all():
+            raise ValidationError("jitter_u must hold uniform draws in [0, 1)")
+        # per-request state is read and written through memoryviews: an
+        # element access yields a Python scalar, not a numpy one
+        self._arrivals = memoryview(arrivals_s)
+        self._jitter_u = memoryview(jitter_u)
+        self._tier = memoryview(model.tier)
         self._retry_on = frozenset(int(code) for code in model.client.retry_on)
-        self._policy = model.client.retry
+        policy = model.client.retry
+        self._max_retries = policy.max_retries
+        self._deadline_hours = policy.deadline_hours
+        self._jitter = policy.jitter
+        # jitter-free backoff hours by 0-based retry index: the midpoint
+        # u = 0.5 makes backoff_hours' jitter factor exactly 1.0
+        self._backoff_caps = policy.schedule()
+        self._give_up_s = model.client.give_up_deadline_s
         self._budget = model.client.budget
         if self._budget is not None:
+            self._fill = self._budget.fill_per_request
+            self._capacity = self._budget.capacity
             self._tokens = (
                 self._budget.initial
                 if self._budget.initial is not None
@@ -343,6 +361,8 @@ class ClosedLoopRuntime:
         self._thrash_slowdown = congestion.slowdown if congestion is not None else 1.0
         self.attempts = np.zeros(n, dtype=np.int16)
         self.brownout = np.zeros(n, dtype=bool)
+        self._attempts = memoryview(self.attempts)
+        self._brownout = memoryview(self.brownout)
         self._depth_samples: list[tuple[float, float, float]] = []
         self.retries = 0
         self.retries_denied_budget = 0
@@ -355,11 +375,10 @@ class ClosedLoopRuntime:
 
     def begin_attempt(self, idx: int) -> None:
         """Count one attempt; first attempts earn budget tokens."""
-        self.attempts[idx] += 1
-        if self.attempts[idx] == 1 and self._budget is not None:
-            self._tokens = min(
-                self._budget.capacity, self._tokens + self._budget.fill_per_request
-            )
+        attempts = self._attempts[idx] + 1
+        self._attempts[idx] = attempts
+        if attempts == 1 and self._budget is not None:
+            self._tokens = min(self._capacity, self._tokens + self._fill)
 
     def admit(self, idx: int, now_s: float, depth: int) -> bool:
         """Breaker, then tier shedding.  False = book the attempt SHED."""
@@ -367,7 +386,7 @@ class ClosedLoopRuntime:
             self.shed_breaker += 1
             return False
         if self._tier_limits is not None:
-            if depth >= self._tier_limits[int(self.model.tier[idx])]:
+            if depth >= self._tier_limits[self._tier[idx]]:
                 self.shed_tier += 1
                 return False
         return True
@@ -390,26 +409,32 @@ class ClosedLoopRuntime:
         draw, give-up decisions replay byte-identically too.  Give-up is
         checked before the token spend: a retry the client already knows
         cannot beat its deadline must not drain the budget the useful
-        retries need.
+        retries need.  ``begin_attempt(idx)`` must have counted the
+        failed attempt.
         """
         # any failure voids a provisional degraded serving: a brownout
         # batch the outage killed mid-flight was never actually answered
-        self.brownout[idx] = False
+        self._brownout[idx] = False
         if self._door is not None:
             self._door.record(now_s, code)
         if code not in self._retry_on:
             return None
-        retries_done = int(self.attempts[idx]) - 1
-        arrival_s = float(self._arrivals[idx])
-        elapsed_hours = (now_s - arrival_s) / 3600.0
-        if not self._policy.allows_retry(retries_done, elapsed_hours=elapsed_hours):
+        # RetryPolicy.allows_retry and backoff_seconds, inlined: the same
+        # comparisons and the same float operations in the same order
+        retries_done = self._attempts[idx] - 1
+        arrival_s = self._arrivals[idx]
+        if retries_done >= self._max_retries or (
+            self._deadline_hours is not None
+            and (now_s - arrival_s) / 3600.0 >= self._deadline_hours
+        ):
             self.retries_exhausted += 1
             return None
-        retry = retries_done + 1  # 1-based retry number
-        u = float(self.model.jitter_u[idx, retry - 1])
-        instant = now_s + self._policy.backoff_seconds(retry, u=u)
-        give_up = self.model.client.give_up_deadline_s
-        if give_up is not None and instant - arrival_s >= give_up:
+        backoff = self._backoff_caps[retries_done]
+        if self._jitter:
+            u = self._jitter_u[idx, retries_done]
+            backoff *= 1.0 + self._jitter * (2.0 * u - 1.0)
+        instant = now_s + backoff * 3600.0
+        if self._give_up_s is not None and instant - arrival_s >= self._give_up_s:
             self.retries_declined_deadline += 1
             return None
         if self._budget is not None:

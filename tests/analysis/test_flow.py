@@ -176,6 +176,26 @@ class TestCallGraph:
         program = program_of({"repro/svc.py": src})
         assert "repro.svc.worker" in program.graph.edges["repro.svc.submit_all"]
 
+    def test_reference_edge_for_bound_method_value(self):
+        """A hot loop that binds ``hook = runtime.method`` once and calls
+        the local keeps the edge to the method."""
+        src = (
+            "class Runtime:\n"
+            "    def on_failure(self, idx):\n"
+            "        pass\n"
+            "\n"
+            "def make() -> Runtime:\n"
+            "    return Runtime()\n"
+            "\n"
+            "def loop(n):\n"
+            "    runtime = make()\n"
+            "    on_failure = runtime.on_failure\n"
+            "    for idx in range(n):\n"
+            "        on_failure(idx)\n"
+        )
+        program = program_of({"repro/svc.py": src})
+        assert "repro.svc.Runtime.on_failure" in program.graph.edges["repro.svc.loop"]
+
     def test_reachability_and_witness_chain(self):
         program = program_of(
             {

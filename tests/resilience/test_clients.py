@@ -9,9 +9,12 @@ server defense never moves a client's jitter), the retry decision ladder
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ValidationError
 from repro.common.retry import RetryPolicy
@@ -42,6 +45,29 @@ def runtime_for(trace, client, **kwargs):
     return plan_resilience(trace, client, **kwargs).runtime(
         trace.arrivals_s, CAPACITY
     )
+
+
+#: The policies whose retry instants the runtime computes inline; the
+#: last one has no jitter, so the runtime never reads its draws.
+EXACT_POLICIES = {
+    "storm": RetryPolicy.storm_default(),
+    "client": RetryPolicy.client_default(),
+    "hedge": RetryPolicy.hedge_default(),
+    "no-jitter": RetryPolicy(
+        max_attempts=5,
+        base_backoff_hours=0.3 / 3600.0,
+        multiplier=3.0,
+        max_backoff_hours=20.0 / 3600.0,
+        jitter=0.0,
+    ),
+}
+
+#: Uniform draws, with the ends of [0, 1) and the jitter-free midpoint
+#: drawn often.
+UNIFORMS = st.one_of(
+    st.sampled_from([0.0, 0.5, float(np.nextafter(1.0, 0.0))]),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
 
 
 class TestConfigs:
@@ -132,7 +158,7 @@ class TestRetryLadder:
         due = rt.on_failure(0, now, REJECTED)
         policy = RetryPolicy.storm_default()
         u = float(rt.model.jitter_u[0, 0])
-        assert due == pytest.approx(now + policy.backoff_seconds(1, u=u))
+        assert due == now + policy.backoff_seconds(1, u=u)
         assert rt.retries == 1
 
     def test_unlisted_outcome_is_terminal(self, trace):
@@ -188,6 +214,46 @@ class TestRetryLadder:
         rt.begin_attempt(1)
         rt.begin_attempt(1)  # a retry attempt earns nothing
         assert rt.finish().tokens_left == 1.5
+
+
+class TestInlinedBackoff:
+    """The runtime computes retry instants inline, from a jitter-free
+    schedule built once per run; every instant must equal the policy's
+    own ``now + backoff_seconds`` bit for bit, and keep its type."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(EXACT_POLICIES)),
+        us=st.lists(UNIFORMS, min_size=5, max_size=5),
+        now=st.floats(0.0, 1e6),
+        numpy_now=st.booleans(),
+    )
+    def test_retry_instant_is_exactly_the_policy_backoff(
+        self, trace, name, us, now, numpy_now
+    ):
+        policy = EXACT_POLICIES[name]
+        model = plan_resilience(trace, ClientConfig(retry=policy))
+        grid = np.tile(us[: policy.max_retries], (len(trace), 1))
+        rt = replace(model, jitter_u=grid).runtime(np.zeros(len(trace)), CAPACITY)
+        t = np.float64(now) if numpy_now else now
+        for retry in range(1, policy.max_attempts):
+            rt.begin_attempt(1)
+            due = rt.on_failure(1, t, REJECTED)
+            expected = t + policy.backoff_seconds(retry, u=float(grid[1, retry - 1]))
+            assert due == expected
+            assert type(due) is type(expected)
+            t = due
+        rt.begin_attempt(1)
+        assert rt.on_failure(1, t, REJECTED) is None
+        assert rt.retries == policy.max_retries
+
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0, 1.5, float("nan")])
+    def test_out_of_range_jitter_grid_rejected_at_build(self, trace, bad):
+        model = plan_resilience(trace, ClientConfig.naive())
+        grid = model.jitter_u.copy()
+        grid[len(trace) // 2, 2] = bad
+        with pytest.raises(ValidationError):
+            replace(model, jitter_u=grid).runtime(trace.arrivals_s, CAPACITY)
 
 
 class TestAdaptiveGiveUp:

@@ -8,16 +8,27 @@ closed-loop claims themselves: retries re-serve real requests, the token
 bucket caps amplification, and the breaker converts overload into sheds.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.faults.plan import build_outage_calendar
 from repro.loadgen.arrivals import TrafficConfig, generate_trace
 from repro.loadgen.autoscaler import AutoscalerConfig
-from repro.loadgen.queue import SERVED, SHED, AdmissionConfig
+from repro.loadgen.queue import (
+    DROPPED,
+    ERROR,
+    FAILED,
+    REJECTED,
+    SERVED,
+    SHED,
+    AdmissionConfig,
+)
 from repro.loadgen.sim import simulate_traffic
 from repro.resilience.breaker import serving_breaker_config
-from repro.resilience.clients import ClientConfig, plan_resilience
+from repro.resilience.clients import ClientConfig, ClosedLoopRuntime, plan_resilience
+from repro.resilience.scenario import StormConfig, policy_spec, run_rung
 from repro.resilience.shedding import SheddingConfig
 from repro.serving import (
     DEVICE_CATALOG,
@@ -160,3 +171,61 @@ class TestClosedLoopBehaviour:
         # few ticks of the horizon may never fire
         assert len(samples) >= TRAFFIC.duration_s / interval - 4
         assert (np.diff(samples[:, 0]) > 0).all()
+
+
+#: A two-and-a-half-minute storm with a 40 s outage (the golden-digest
+#: storm), and the same storm with one replica struck instead of both.
+STORM = StormConfig(duration_s=150.0, outage_start_s=40.0, outage_end_s=80.0)
+STORMS = {
+    "naive": ("naive-retry", STORM),
+    "budgeted": ("budgeted-retry+breaker", STORM),
+    "hedged": ("hedged-retry+breaker", STORM),
+    "naive-partial": ("naive-retry", replace(STORM, outage_dark_replicas=1)),
+}
+
+
+class TestFrontDoorNeedsNoReset:
+    """A granted retry after a front-door failure (REJECTED, ERROR, SHED)
+    un-books only the status: no attempt that ends at the front door or
+    in the queue ever started service, and a struck (FAILED) attempt's
+    retry resets start, finish and replica before the next attempt."""
+
+    @pytest.fixture
+    def struck_retries(self, monkeypatch):
+        """Indices of FAILED attempts granted a retry, recorded by a
+        class-level wrapper the simulation must call through."""
+        granted: list[int] = []
+        original = ClosedLoopRuntime.on_failure
+
+        def recording(self, idx, now_s, code):
+            due = original(self, idx, now_s, code)
+            if code == FAILED and due is not None:
+                granted.append(idx)
+            return due
+
+        monkeypatch.setattr(ClosedLoopRuntime, "on_failure", recording)
+        return granted
+
+    @staticmethod
+    def lost_after_run(storm):
+        policy, config = STORMS[storm]
+        result = run_rung(policy_spec(policy, config))[1]
+        lost = np.isin(result.status, (REJECTED, ERROR, SHED, DROPPED))
+        assert lost.any()
+        assert np.isnan(result.start_s[lost]).all()
+        assert np.isnan(result.finish_s[lost]).all()
+        assert (result.replica_of[lost] == -1).all()
+        return lost
+
+    @pytest.mark.parametrize("storm", sorted(STORMS))
+    def test_unserved_terminals_never_started(self, storm, struck_retries):
+        self.lost_after_run(storm)
+        assert struck_retries  # the outage struck in-flight attempts
+
+    def test_struck_then_retried_request_is_reset(self, struck_retries):
+        """Requests struck mid-service and retried into a front-door or
+        queue loss: without the reset their struck start and replica
+        would survive into the result."""
+        lost = self.lost_after_run("naive")
+        struck = np.unique(np.asarray(struck_retries, dtype=np.int64))
+        assert lost[struck].any()
